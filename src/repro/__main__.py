@@ -35,7 +35,6 @@ from .experiments.store import CACHE_DIR_ENV
 from .faults.spec import FaultKind
 from .obs.exporters import TRACE_FORMATS
 from .press.cluster import ExperimentScale
-from .sim.lpexec import BACKENDS
 
 
 def _repetition(args: argparse.Namespace):
@@ -67,8 +66,6 @@ def _settings(args: argparse.Namespace) -> Phase1Settings:
             replications=args.replications,
             fastpath=not args.no_fastpath,
             n_nodes=args.nodes,
-            shards=args.shards,
-            lp_backend=args.lp_backend,
             repetition=_repetition(args),
         )
     except ValueError as exc:
@@ -417,20 +414,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--nodes", type=int, default=4,
         help="cluster size (the paper's testbed is 4; scaling studies "
         "use 16/64)",
-    )
-    parser.add_argument(
-        "--shards", type=int, default=1,
-        help="partition the event engine into N logical processes under "
-        "conservative synchronization (bit-identical results for every "
-        "value; capped at --nodes; see PERFORMANCE.md \"LP sharding\")",
-    )
-    parser.add_argument(
-        "--lp-backend", choices=list(BACKENDS), default="serial",
-        help="execution backend for the sharded engine: serial (exact "
-        "in-process merge, the default), threads (per-LP worker threads, "
-        "debug fallback), or processes (per-LP OS workers exchanging "
-        "EOT/null messages over pipes); byte-identical results for every "
-        "choice — see PERFORMANCE.md \"Parallel LP backend\"",
     )
     parser.add_argument(
         "--trace-dir", default=None,

@@ -21,7 +21,6 @@ cell at once.  Two store flavors share one interface:
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import os
@@ -61,17 +60,18 @@ from typing import Dict, Optional, Tuple, Union
 #:        run-deterministic request ids.
 #:   v7 — cluster scale and LP sharding become settings: the settings
 #:        key gains ``n_nodes`` (cluster size, previously fixed at the
-#:        paper's 4) and ``shards`` (logical-process partitioning of the
-#:        engine, repro.sim.lp).  Payloads are byte-identical for every
-#:        ``shards`` value — it is keyed, like ``fastpath``, only so a
-#:        verification run cannot be satisfied from another mode's
-#:        cache.
-#:   v8 — parallel LP execution: the settings key gains ``lp_backend``
-#:        (serial / threads / processes execution of the sharded
-#:        engine, repro.sim.lpexec).  Same contract as ``shards``:
-#:        payloads are byte-identical for every backend, keyed only so
-#:        a verification run actually runs.
-SCHEMA_VERSION = 8
+#:        paper's 4) and the logical-process shard count.  Payloads are
+#:        byte-identical for every shard count — it is keyed, like
+#:        ``fastpath``, only so a verification run cannot be satisfied
+#:        from another mode's cache.
+#:   v8 — parallel LP execution: the settings key gains the LP
+#:        execution backend (serial / threads / processes).  Same
+#:        contract as the shard count: payloads are byte-identical for
+#:        every backend, keyed only so a verification run actually runs.
+#:   v9 — the logical-process engine is removed: the settings key
+#:        loses the shard count and the LP backend and ends at
+#:        ``n_nodes``.  Payloads are unchanged; only the key shape moves.
+SCHEMA_VERSION = 9
 
 #: Environment variable consulted by the CLI for a default cache dir.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
@@ -286,6 +286,9 @@ class DiskStore(ResultStore):
         # Misses whose key exists under an older schema version, counted
         # per old version for drain_notices().
         self._stale_schema_hits: Dict[int, int] = {}
+        # (version, fault, seed) -> schema of every older-schema cell on
+        # disk; built by the first miss (see _note_stale_generation).
+        self._stale_cells: Optional[Dict[tuple, int]] = None
 
     def _path(self, key: CellKey) -> Path:
         digest = key.digest()
@@ -440,15 +443,28 @@ class DiskStore(ResultStore):
         """A miss at the current schema: check for older-schema results.
 
         Finding one means a schema bump (not a cold cache) is forcing the
-        re-run — worth a notice instead of mutely re-simulating.
+        re-run — worth a notice instead of mutely re-simulating.  Old
+        cells are found by the ``schema`` their on-disk key record
+        carries, matched on (version, fault, seed): re-deriving old
+        digests would need the old settings-key *shape*, which a bump
+        may change.  The record holds no settings key, so an old cell
+        of other settings with the same seed also matches; each old
+        cell is counted at most once.
         """
-        for old in range(1, key.schema):
-            old_key = dataclasses.replace(key, schema=old)
-            if self._path(old_key).exists():
-                self._stale_schema_hits[old] = (
-                    self._stale_schema_hits.get(old, 0) + 1
-                )
-                return
+        if self._stale_cells is None:
+            self._stale_cells = {
+                (info.get("version"), info.get("fault"), info.get("seed")):
+                    info["schema"]
+                for info, _ in self.iter_cells()
+                if isinstance(info, dict)
+                and isinstance(info.get("schema"), int)
+                and info["schema"] < SCHEMA_VERSION
+            }
+        old = self._stale_cells.pop((key.version, key.fault, key.seed), None)
+        if old is not None:
+            self._stale_schema_hits[old] = (
+                self._stale_schema_hits.get(old, 0) + 1
+            )
 
     def drain_notices(self) -> "list[str]":
         notices = [

@@ -34,10 +34,13 @@ Destination links serialize frames from many sources, so the fast path
 keeps a per-link reservation queue ordered by switch-exit time; slow
 frames arriving at a link with live reservations splice into that queue,
 and any reservation whose start moves is recomputed and its delivery
-event rescheduled.  End-of-run counters are identical in both modes
-(hop counters that the slow path increments mid-flight are applied by
-the fast path at delivery or materialization; counters carry no
-timestamps, so only the totals are observable).
+event rescheduled.  Counters read between runs are identical in both
+modes: hop counters that the slow path increments mid-flight (switch
+forwards at arrival, destination-link frames at switch exit) are
+applied by the fast path at delivery or materialization, and
+:meth:`Fabric.settle_counters` applies those of frames still in flight
+when a run stops.  Counters carry no timestamps, so only the totals are
+observable.
 """
 
 from __future__ import annotations
@@ -68,6 +71,7 @@ class _FastFlight:
         "t3",  # delivery at the destination NIC (end_d + latency)
         "timer",
         "dst_final",  # destination serialization can no longer move
+        "hops",  # hop counters already applied by settle_counters (0-2)
     )
 
     def __init__(
@@ -82,6 +86,7 @@ class _FastFlight:
         # not None`` guard in _resequence covers the splice path).
         self.timer = None
         self.dst_final = False
+        self.hops = 0
 
 
 class Fabric:
@@ -174,11 +179,6 @@ class Fabric:
             loss_fn=loss_fn,
         )
         link._fabric = self
-        # On a sharded engine (repro.sim.lp), remember the owner node's
-        # LP so delivery events can be pinned to the receiver's queue.
-        shard_of = getattr(self.engine, "shard_of", None)
-        if shard_of is not None:
-            link._lp = shard_of(node_id)
         nic = Nic(self.engine, node_id, link, reports_errors=reports_errors)
         nic._fabric = self
         self.links[node_id] = link
@@ -392,17 +392,7 @@ class Fabric:
         flight.end_d = end = start + wire / dst_link.bandwidth
         flight.t3 = t3 = end + dst_link.latency
         resv.append(flight)
-        # The closed-form delivery time doubles as the CMB lookahead
-        # fast-forward: pinning the event to the destination's LP tells
-        # that queue its next cross-channel event up front, at submit
-        # time, instead of hop by hop.
-        lp = dst_link._lp
-        if lp is not None:
-            prev = engine.pin(lp)
-            flight.timer = engine.call_at(t3, self._fast_deliver, flight, dst_link)
-            engine.pin(prev)
-        else:
-            flight.timer = engine.call_at(t3, self._fast_deliver, flight, dst_link)
+        flight.timer = engine.call_at(t3, self._fast_deliver, flight, dst_link)
         self._flights[flight] = None
 
     def _reserve(self, dst_link: Link, flight: _FastFlight) -> None:
@@ -431,25 +421,19 @@ class Fabric:
         engine = self.engine
         bandwidth = dst_link.bandwidth
         latency = dst_link.latency
-        lp = dst_link._lp
-        pinned = engine.pin(lp) if lp is not None else None
-        try:
-            for i in range(pos, len(resv)):
-                fl = resv[i]
-                start = max(fl.exit, prev_end)
-                end = start + fl.wire / bandwidth
-                if fl.timer is not None and start == fl.start_d and end == fl.end_d:
-                    return
-                fl.start_d = start
-                fl.end_d = end
-                fl.t3 = t3 = end + latency
-                if fl.timer is not None:
-                    fl.timer.cancel()
-                fl.timer = engine.call_at(t3, self._fast_deliver, fl, dst_link)
-                prev_end = end
-        finally:
-            if pinned is not None:
-                engine.pin(pinned)
+        for i in range(pos, len(resv)):
+            fl = resv[i]
+            start = max(fl.exit, prev_end)
+            end = start + fl.wire / bandwidth
+            if fl.timer is not None and start == fl.start_d and end == fl.end_d:
+                return
+            fl.start_d = start
+            fl.end_d = end
+            fl.t3 = t3 = end + latency
+            if fl.timer is not None:
+                fl.timer.cancel()
+            fl.timer = engine.call_at(t3, self._fast_deliver, fl, dst_link)
+            prev_end = end
 
     def _fast_deliver(self, flight: _FastFlight, dst_link: Link) -> None:
         """The single fast-path event: the frame reaches its NIC.
@@ -465,8 +449,11 @@ class Fabric:
         busy = dst_link._busy_until
         if flight.end_d > busy["b2a"]:
             busy["b2a"] = flight.end_d
-        self.switch.frames_forwarded += 1
-        dst_link._frames_carried.value += 1
+        hops = flight.hops
+        if not hops:
+            self.switch.frames_forwarded += 1
+        if hops < 2:
+            dst_link._frames_carried.value += 1
         spans = self.engine.spans
         if spans is not None and flight.frame.trace_id:
             # The precomputed hop times are bit-identical to what the
@@ -506,16 +493,26 @@ class Fabric:
                 fl.dst_final = True
             del resv[:i]
 
-    def _call_pinned(self, lp: Optional[int], time: float, fn, *args) -> None:
-        """Schedule ``fn`` at ``time`` on LP ``lp`` (or with inherited
-        affinity when the engine is not sharded)."""
-        engine = self.engine
-        if lp is not None:
-            prev = engine.pin(lp)
-            engine.call_at(time, fn, *args)
-            engine.pin(prev)
-        else:
-            engine.call_at(time, fn, *args)
+    def settle_counters(self) -> None:
+        """Apply the hop counters of in-flight fast frames up to now.
+
+        The slow path counts a switch forward at switch arrival and a
+        destination-link frame at switch exit; the fast path defers both
+        to delivery.  Called when a run stops, this brings the counters
+        to the values the reference path shows at the same instant, so
+        a run cut with frames in flight reports the same telemetry in
+        both modes.  Each hop is counted once: delivery and
+        materialization skip or undo what was applied here.
+        """
+        now = self.engine.now
+        switch = self.switch
+        for fl in self._flights:
+            if not fl.hops and fl.arrive1 <= now:
+                switch.frames_forwarded += 1
+                fl.hops = 1
+            if fl.hops == 1 and fl.exit <= now:
+                self.links[fl.frame.dst]._frames_carried.value += 1
+                fl.hops = 2
 
     # -- materialization on topology transitions ----------------------------
     def _fastpath_transition(self) -> None:
@@ -543,12 +540,19 @@ class Fabric:
         for link in self.links.values():
             link._resv.clear()
         switch = self.switch
-        spans = self.engine.spans
+        engine = self.engine
+        spans = engine.spans
         for fl in flights:
             if fl.timer is not None:
                 fl.timer.cancel()
                 fl.timer = None
             frame = fl.frame
+            if fl.hops:
+                # Counted early by settle_counters; the branches below
+                # apply each hop at its own time.
+                switch.frames_forwarded -= 1
+                if fl.hops == 2:
+                    self.links[frame.dst]._frames_carried.value -= 1
             src_link = self.links[frame.src]
             if fl.dst_final or fl.exit < now:
                 # Past the switch and the destination serializer: only the
@@ -567,8 +571,7 @@ class Fabric:
                 busy = dst_link._busy_until
                 if fl.end_d > busy["b2a"]:
                     busy["b2a"] = fl.end_d
-                self._call_pinned(
-                    dst_link._lp,
+                engine.call_at(
                     fl.t3,
                     dst_link._arrive,
                     frame.kind,
@@ -577,8 +580,7 @@ class Fabric:
             elif fl.arrive1 >= now:
                 # Not yet at the switch: re-enter at the source-link
                 # arrival, stock machinery from there.
-                self._call_pinned(
-                    src_link._lp,
+                engine.call_at(
                     fl.arrive1,
                     src_link._arrive,
                     frame.kind,
@@ -592,8 +594,7 @@ class Fabric:
                         arrive_switch=fl.arrive1,
                     )
                 switch.frames_forwarded += 1
-                self._call_pinned(
-                    self.links[frame.dst]._lp,
+                engine.call_at(
                     fl.exit,
                     self._switch_exit,
                     frame,
@@ -634,20 +635,9 @@ class Fabric:
         dst_link = self.links[frame.dst]
         if dst_link._resv:
             self._interleave_slow(dst_link, seq)
-        lp = dst_link._lp
-        if lp is not None:
-            # Slow-path delivery is the LP hand-off point: the arrival
-            # event (and everything the receiver schedules from it) must
-            # live on the receiver's queue.
-            prev = self.engine.pin(lp)
-            sent = dst_link.transmit(
-                "b2a", wire_size, frame.kind, _DeliverCb(self, frame)
-            )
-            self.engine.pin(prev)
-        else:
-            sent = dst_link.transmit(
-                "b2a", wire_size, frame.kind, _DeliverCb(self, frame)
-            )
+        sent = dst_link.transmit(
+            "b2a", wire_size, frame.kind, _DeliverCb(self, frame)
+        )
         if dst_link._resv:
             self._resequence(dst_link, 0)
         if not sent:

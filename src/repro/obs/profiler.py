@@ -33,22 +33,6 @@ and the CI ``perf-smoke`` job.  Its output is wall-clock and therefore
 in the cell payload, so cache keys, payload fingerprints, and
 ``store-diff`` are untouched by nondeterministic timings.
 
-Per-worker flight-recorder merging
-----------------------------------
-Under a parallel LP backend (``--lp-backend threads|processes``, see
-:mod:`repro.sim.lpexec`) each worker measures its *own* wall clock —
-time spent executing, idling on an empty queue, and blocked waiting on
-a null-message bound — with the same ``perf_counter`` the recorder
-uses.  Those per-worker clocks are merged into the engine when the
-worker fleet is reaped at the end of ``run()``, and ``digest()`` picks
-them up through ``lp_stats()`` (``worker_exec_s`` / ``worker_idle_s`` /
-``worker_blocked_s`` and the ``worker_imbalance`` index), so
-``perf-report`` shows load imbalance computed from real per-worker
-wall clocks rather than the coordinator's view.  Unlike callback
-self-time, worker clocks are always on — they live inside the worker
-loops, not on the serial hot path, so the zero-overhead guard contract
-above is untouched.
-
 Self-time attribution
 ---------------------
 The engine's event loop is flat — a callback runs to completion before
@@ -174,8 +158,7 @@ class FlightRecorder:
         """JSON-ready summary for the per-cell perf record.
 
         ``engine`` (optional) contributes its scheduling/heap-churn
-        counters; an :class:`~repro.sim.lp.ShardedEngine` additionally
-        contributes its LP statistics under ``"lp"``.
+        counters.
         """
         total_events = sum(c for c, _ in self._sites.values())
         total_s = sum(s for _, s in self._sites.values())
@@ -202,9 +185,6 @@ class FlightRecorder:
                 "freelist_reuse": engine._seq - engine._timer_allocs,
                 "compactions": engine._compactions,
             }
-            lp_stats = getattr(engine, "lp_stats", None)
-            if lp_stats is not None:
-                out["lp"] = lp_stats()
         return out
 
 

@@ -72,7 +72,7 @@ from .engine import SimulationError
 #:     (``repro.sim.ids``) alongside the (cluster, observatory) pair, and
 #:     ``Frame`` grew a ``trace_id`` slot for request-scoped tracing.
 #:
-#: v3: the engine may be a :class:`repro.sim.lp.ShardedEngine` (per-LP
+#: v3: the engine may be a sharded logical-process engine (per-LP
 #:     event queues + shard map + channel clocks in the pickled layout),
 #:     and ``Link`` carries its owner's LP affinity.
 #:
@@ -87,7 +87,13 @@ from .engine import SimulationError
 #:     mirrors from the restored queues at the next ``run()``, so a v4
 #:     blob restored by v5 code would lack the slots those workers and
 #:     ``lp_stats()`` read.
-FORMAT_VERSION = 5
+#:
+#: v6: the logical-process engine is gone: the engine is always the
+#:     single-loop :class:`~repro.sim.engine.Engine`, and ``Link`` no
+#:     longer carries an LP-affinity slot.  In-flight fast-path frames
+#:     carry a ``hops`` slot (counters applied by
+#:     ``Fabric.settle_counters``).
+FORMAT_VERSION = 6
 
 #: Protocol 4 is the newest protocol supported by every interpreter in
 #: the CI matrix; the digest pins the writer's Python anyway, this just

@@ -69,9 +69,27 @@ def test_render_dashboard_with_malformed_perf_rows():
         ({"version": "V", "fault": "f"}, {}),
         ({}, {"execute_s": "0.5"}),  # stringly-typed stale record
         ({"version": "V"}, None),  # unreadable record half
+        # Written by the removed logical-process engine: "lp" is ignored.
+        (
+            {"version": "V", "fault": "g"},
+            {
+                "execute_s": 0.5,
+                "profile": {
+                    "events": 4,
+                    "lp": {
+                        "shards": 2,
+                        "backend": "threads",
+                        "lp_events": [1, 3],
+                        "worker_exec_s": [0.1, 0.3],
+                    },
+                },
+            },
+        ),
     ]
     html = render_dashboard([], perf=perf)
     assert "<h2>performance (flight recorder)</h2>" in html
+    assert "V/g" in html
+    assert "LP shards" not in html and "LP workers" not in html
 
 
 def test_render_dashboard_from_ledger_only():
@@ -99,6 +117,7 @@ def test_render_dashboard_from_ledger_only():
     assert "net" in html
     assert "fastpath" in html
     assert "V/f#r0" in html
+    assert "LP shards" not in html
 
 
 def test_perf_report_on_unprofiled_store_prints_a_notice(tmp_path):

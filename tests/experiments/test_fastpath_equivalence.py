@@ -87,6 +87,8 @@ def test_fault_cell_bit_identical(version, kind, seed):
         s_nic = slow_cluster.fabric.nics[name]
         assert f_nic.frames_sent == s_nic.frames_sent, name
         assert f_nic.frames_received == s_nic.frames_received, name
+    # The whole telemetry registry, as a campaign cell stores it.
+    assert fast_cluster.metrics.summary() == slow_cluster.metrics.summary()
 
     # Sanity: the fast path actually engaged — same results from
     # meaningfully fewer heap events, otherwise this test proves nothing.

@@ -17,6 +17,7 @@ from repro.analysis.perf import (
     load_ledger,
     perf_compare,
     perf_report_from_store,
+    render_perf_report,
 )
 from repro.experiments.runner import run_campaign
 from repro.experiments.settings import Phase1Settings
@@ -33,7 +34,6 @@ FAST = Phase1Settings(
     post_recovery=60.0,
     tail=40.0,
     replications=1,
-    shards=4,
 )
 
 VERSIONS = ["TCP-PRESS"]
@@ -72,7 +72,6 @@ def test_every_executed_cell_gets_a_perf_record(profiled):
         assert digest["self_s"] > 0.0
         assert digest["layers"]
         assert digest["engine"]["events_processed"] > 0
-        assert digest["lp"]["shards"] == 4
 
 
 def test_report_splits_execute_from_warm_restore(profiled):
@@ -95,8 +94,7 @@ def test_ledger_written_beside_the_store(profiled):
         report.execute_seconds
     )
     assert ledger["profile"]["layers"]
-    assert ledger["profile"]["lp"]["shards"] == 4
-    assert ledger["settings"]["shards"] == 4
+    assert ledger["settings"]["n_nodes"] == 4
     assert any("flight recorder" in n for n in report.notices)
     # JSON round-trips exactly (no non-serializable leftovers).
     json.loads((path / LEDGER_NAME).read_text())
@@ -117,8 +115,6 @@ def test_perf_report_prints_the_acceptance_surface(profiled):
     text = perf_report_from_store(path)
     assert "self-time by layer" in text
     assert "per-cell wall-clock breakdown" in text
-    assert "lp shards: 4" in text
-    assert "load imbalance" in text
     assert "TCP-PRESS/link-down" in text
     assert "fabric fastpath" in text
 
@@ -168,17 +164,33 @@ def test_unprofiled_report_builds_an_empty_ledger():
 
 def test_aggregate_perf_tolerates_partial_records():
     """Stale/truncated perf rows degrade to zeros, never KeyError."""
-    agg = aggregate_perf(
-        [
-            {},
-            {"execute_s": 1.0},
-            {"profile": {"layers": {"net": {"events": 3, "self_s": 0.5}}}},
-            {"profile": {"lp": {"shards": 2, "lp_events": [4, 6]}}},
-            "not-a-dict",
-        ]
-    )
-    assert agg["totals"]["cells"] == 4
-    assert agg["totals"]["execute_s"] == 1.0
+    rows = [
+        {},
+        {"execute_s": 1.0},
+        {"profile": {"layers": {"net": {"events": 3, "self_s": 0.5}}}},
+        {"profile": {"lp": {"shards": 2, "lp_events": [4, 6]}}},
+        # A record from the removed logical-process engine: its "lp"
+        # section is ignored, not rendered.
+        {
+            "execute_s": 2.0,
+            "profile": {
+                "events": 10,
+                "lp": {
+                    "shards": 4,
+                    "backend": "processes",
+                    "lp_events": [1, 2, 3, 4],
+                    "worker_exec_s": [0.1, 0.2, 0.3, 0.4],
+                    "imbalance": 1.6,
+                },
+            },
+        },
+        "not-a-dict",
+    ]
+    agg = aggregate_perf(rows)
+    assert agg["totals"]["cells"] == 5
+    assert agg["totals"]["execute_s"] == 3.0
     assert agg["layers"]["net"]["events"] == 3
-    assert agg["lp"]["shards"] == 2
-    assert agg["lp"]["imbalance"] == pytest.approx(1.2)
+    assert "lp" not in agg
+    text = render_perf_report(rows)
+    assert "profiled: 5 cell record(s), 10 events" in text
+    assert not any(line.startswith("lp") for line in text.splitlines())

@@ -349,5 +349,38 @@ class TestSchemaNotices:
         (notice,) = store.drain_notices()
         assert "3 cell(s) re-run" in notice
 
+    def test_bump_that_changes_the_key_shape_is_reported(self, tmp_path):
+        """v8 keys ended ``(…, n_nodes, shards, lp_backend)``; the v9 key
+        ends at ``n_nodes``.  The old cell's digest cannot be re-derived
+        from the new key, yet the miss must still be reported."""
+        store = DiskStore(tmp_path)
+        current = CellKey(
+            version="TCP-PRESS",
+            settings_key=DEFAULT_SETTINGS.sim_key(),
+            fault="link-down",
+            seed=12345,
+        )
+        v8 = dataclasses.replace(
+            current,
+            settings_key=DEFAULT_SETTINGS.sim_key() + (1, "serial"),
+            schema=8,
+        )
+        store.put(v8, PAYLOAD)
+        assert store.get(current) is None
+        assert store.drain_notices() == [
+            f"cache invalidated (schema v8→v{SCHEMA_VERSION}): "
+            "1 cell(s) re-run"
+        ]
+
+    def test_stale_cell_is_counted_once(self, tmp_path):
+        store = DiskStore(tmp_path)
+        store.put(dataclasses.replace(KEY, schema=1), PAYLOAD)
+        store.get(KEY)
+        store.get(KEY)
+        assert store.drain_notices() == [
+            f"cache invalidated (schema v1→v{SCHEMA_VERSION}): "
+            "1 cell(s) re-run"
+        ]
+
     def test_memory_store_has_no_notices(self):
         assert MemoryStore().drain_notices() == []

@@ -47,11 +47,23 @@ def assert_identical(results):
     assert fast[3] == slow[3]  # timestamps, order, ids, payloads
     assert fast[1].frames_delivered == slow[1].frames_delivered
     assert fast[1].frames_lost == slow[1].frames_lost
-    assert fast[1].switch.frames_forwarded == slow[1].switch.frames_forwarded
+    assert_counters_identical(fast[1], slow[1])
     for n in fast[2]:
         assert fast[2][n].frames_sent == slow[2][n].frames_sent
         assert fast[2][n].frames_received == slow[2][n].frames_received
     return fast, slow
+
+
+def assert_counters_identical(fast_fabric, slow_fabric):
+    assert (
+        fast_fabric.switch.frames_forwarded
+        == slow_fabric.switch.frames_forwarded
+    )
+    for n in fast_fabric.links:
+        assert (
+            fast_fabric.links[n].frames_carried
+            == slow_fabric.links[n].frames_carried
+        ), n
 
 
 def test_burst_identical_timestamps_fewer_events():
@@ -187,3 +199,40 @@ def test_repair_midflight_keeps_results_identical():
         e.call_after(0.005, burst)
 
     assert_identical(run_both(scenario, reports_errors=False))
+
+
+@pytest.mark.parametrize("fault", [None, "link", "switch"])
+def test_counters_match_when_a_run_stops_mid_flight(fault):
+    """A run cut between a frame's hops reports the reference counters.
+
+    The cuts sweep the burst so that frames sit before the switch,
+    inside it, and between switch exit and delivery; a fault right at a
+    cut then materializes frames whose hops were settled early.
+    """
+    cuts = [i * 0.0005 for i in range(1, 24)]
+    results = {}
+    for fastpath in (True, False):
+        e, fabric, nics, log = build(fastpath, reports_errors=False)
+        for i in range(12):
+            nics["a"].send(frame("a", "b", size=60_000, payload=i))
+            nics["c"].send(frame("c", "b", size=20_000, payload=i))
+        seen = []
+        for t in cuts:
+            e.run(until=t)
+            fabric.settle_counters()
+            seen.append(
+                (
+                    fabric.switch.frames_forwarded,
+                    {n: link.frames_carried for n, link in fabric.links.items()},
+                )
+            )
+            if fault == "link" and t == cuts[8]:
+                fabric.link("b").fail()
+            elif fault == "switch" and t == cuts[8]:
+                fabric.switch.fail()
+        e.run()
+        fabric.settle_counters()
+        results[fastpath] = (seen, fabric, log)
+    assert results[True][0] == results[False][0]
+    assert results[True][2] == results[False][2]
+    assert_counters_identical(results[True][1], results[False][1])
