@@ -103,48 +103,6 @@ def test_engine_event_stream_span_guard(benchmark):
     assert benchmark(run_stream) == 10_000
 
 
-def test_engine_event_stream_profiler_guard(benchmark):
-    """The deliver/cancel/re-arm stream with the flight-recorder guard.
-
-    The wall-clock profiler put a ``profiler = engine.profiler; if
-    profiler is not None`` probe at the fabric's fastpath counter sites,
-    and ``Engine.run`` checks the attach point once per call to pick the
-    instrumented loop.  With profiling off — every run unless
-    ``--profile`` is passed — that attribute-load-plus-None-test is the
-    *whole* cost, exactly like the span guard above; this bench runs the
-    span-guard workload with the profiler probe per delivery instead.
-    The paired bench-gate claim (``profiler_guard_zero_overhead``) holds
-    the difference within 3%.
-    """
-
-    def run_stream():
-        e = Engine()
-        count = [0]
-        pending = [None]
-
-        def on_rto():
-            pending[0] = None
-
-        def deliver():
-            profiler = e.profiler
-            if profiler is not None:  # profiling is off in this bench
-                profiler.count("bench.deliver")
-            count[0] += 1
-            timer = pending[0]
-            if timer is not None:
-                timer.cancel()
-                pending[0] = None
-            if count[0] < 10_000:
-                pending[0] = e.call_after(0.2, on_rto)
-                e.call_after(65e-6, deliver)
-
-        e.call_after(65e-6, deliver)
-        e.run()
-        return count[0]
-
-    assert benchmark(run_stream) == 10_000
-
-
 def test_engine_event_throughput(benchmark):
     """Schedule+dispatch cost of a bare chained engine event."""
 

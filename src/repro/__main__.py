@@ -264,24 +264,18 @@ def cmd_store_diff(args) -> None:
 
 
 def cmd_perf_report(args) -> None:
-    from .analysis.perf import perf_report_from_store, perf_report_json
+    from .analysis.perf import perf_report_from_store
 
     try:
-        if args.json:
-            print(perf_report_json(args.store))
-        else:
-            print(perf_report_from_store(args.store))
+        print(perf_report_from_store(args.store, as_json=args.json))
     except ValueError as exc:
         sys.exit(f"perf-report: {exc}")
 
 
 def cmd_perf_compare(args) -> None:
-    from .analysis.perf import perf_compare, perf_compare_json
+    from .analysis.perf import perf_compare
 
-    if args.json:
-        text, comparable = perf_compare_json(args.store_a, args.store_b)
-    else:
-        text, comparable = perf_compare(args.store_a, args.store_b)
+    text, comparable = perf_compare(args.store_a, args.store_b, args.json)
     print(text)
     if not comparable:
         sys.exit("perf-compare: nothing to compare")
@@ -438,10 +432,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--profile", action="store_true",
-        help="attach the wall-clock flight recorder to every campaign "
-        "cell: per-layer self-time, fastpath/heap-churn counters, LP "
-        "shard balance — persisted to the store's perf/ namespace and "
-        "a BENCH_campaign.json ledger (results stay byte-identical; "
+        help="stack-sample every executed campaign cell (the flight "
+        "recorder): exclusive self-time by layer, heap-churn counters "
+        "— persisted to the store's perf/ namespace and a "
+        "BENCH_campaign.json ledger (results stay byte-identical; "
         "read back with perf-report; see OBSERVABILITY.md)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -472,9 +466,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_perf = sub.add_parser(
         "perf-report",
-        help="where a profiled campaign's wall-clock went: per-layer "
-        "self-time, fastpath hit rate, heap churn, LP shard balance, "
-        "per-cell breakdown (needs a --profile campaign in the store)",
+        help="where a profiled campaign's wall-clock went: sampled "
+        "self-time by layer, heap churn, per-cell breakdown (needs a "
+        "--profile campaign in the store)",
     )
     p_perf.add_argument("store", help="campaign cache dir (a DiskStore)")
     p_perf.add_argument(

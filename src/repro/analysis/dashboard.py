@@ -23,9 +23,9 @@ Sections:
 * **attribution** — the per-mechanism availability-cost table: which
   mechanism (fail-fast, retransmit stall, reconfiguration window, cache
   warmup, operator reset) each lost or SLO-slow request is charged to;
-* **performance** — the wall-clock flight recorder's view of the
-  *simulator* (``--profile`` campaigns only): per-layer self-time,
-  fastpath hit rate, heap churn, and LP shard balance from the store's
+* **performance** — the flight recorder's view of the *simulator*
+  (``--profile`` campaigns only): sampled exclusive self-time by layer,
+  heap churn, and the per-cell wall-clock breakdown from the store's
   volatile ``perf/`` namespace and ``BENCH_campaign.json`` ledger.
 """
 
@@ -557,22 +557,15 @@ def _performance_section(
     perf: Iterable[Tuple[dict, dict]], ledger: Optional[dict]
 ) -> List[str]:
     """Flight-recorder rollup (``--profile`` campaigns only)."""
-    from .perf import aggregate_perf
+    from .perf import perf_rows, perf_view
 
-    rows = []
-    for key, record in perf:
-        if not isinstance(record, dict):
-            continue
-        merged = dict(record)
-        for field in ("version", "fault", "rep", "seed"):
-            merged.setdefault(field, (key or {}).get(field))
-        rows.append(merged)
-    if not rows and not ledger:
+    agg = perf_view(perf_rows(perf), ledger)
+    totals = agg["totals"]
+    if not totals["cells"] and not ledger:
         return [
             "<p class='cellnote'>no flight-recorder data stored (run the "
             "campaign with --profile to collect wall-clock profiles)</p>"
         ]
-    agg = aggregate_perf(rows)
     out: List[str] = []
     if ledger:
         timing = ledger.get("timing") or {}
@@ -584,25 +577,13 @@ def _performance_section(
             f"(speedup {_fmt(timing.get('speedup'), 2)}x, parallelism "
             f"{_fmt(timing.get('parallelism'), 2)}x).</p>"
         )
-    totals = agg["totals"]
-    if not rows and ledger:
-        profile = ledger.get("profile") or {}
-        agg = {
-            "totals": dict(
-                totals,
-                events=int(profile.get("events") or 0),
-                self_s=float(profile.get("self_s") or 0.0),
-            ),
-            "layers": profile.get("layers") or {},
-            "counters": profile.get("counters") or {},
-            "engine": profile.get("engine") or {},
-            "cells": ledger.get("top_cells") or [],
-        }
-        totals = agg["totals"]
     if agg["layers"]:
-        total_s = float(totals.get("self_s") or 0.0)
+        total_s = totals["self_s"]
         out.append(
-            "<table><tr><th class='label'>layer</th><th>events</th>"
+            f"<p>exclusive self-time by layer from {totals['samples']} "
+            f"stack samples ({totals['sampled_s']:.2f}s of sampled CPU "
+            f"time over {total_s:.2f}s of execute wall-clock).</p>"
+            "<table><tr><th class='label'>layer</th><th>samples</th>"
             "<th>self-time (s)</th><th>share %</th></tr>"
         )
         ordered = sorted(
@@ -614,22 +595,10 @@ def _performance_section(
             share = f"{100.0 * self_s / total_s:.1f}" if total_s else "—"
             out.append(
                 f"<tr><td class='label'>{escape(layer)}</td>"
-                f"<td>{int(stats.get('events') or 0)}</td>"
+                f"<td>{int(stats.get('samples') or 0)}</td>"
                 f"<td>{self_s:.4f}</td><td>{share}</td></tr>"
             )
         out.append("</table>")
-    counters = agg["counters"]
-    fast = counters.get("fabric.fast_cached", 0) + counters.get(
-        "fabric.fast_checked", 0
-    )
-    slow = counters.get("fabric.slow", 0)
-    if fast or slow:
-        rate = f"{100.0 * fast / (fast + slow):.1f}%" if fast + slow else "—"
-        out.append(
-            f"<p>fabric fastpath: {fast} fast sends, {slow} slow "
-            f"(hit rate {rate}); "
-            f"{counters.get('fabric.fast_train', 0)} train frames.</p>"
-        )
     eng = agg["engine"]
     if eng and any(eng.values()):
         out.append(
@@ -661,11 +630,6 @@ def _performance_section(
                 f"<td>{int(c.get('events') or 0)}</td></tr>"
             )
         out.append("</table>")
-    if not out:
-        out.append(
-            "<p class='cellnote'>flight-recorder records are present but "
-            "empty (stale perf schema?)</p>"
-        )
     return out
 
 

@@ -1,12 +1,12 @@
 """Campaign perf ledger + the ``perf-report`` / ``perf-compare`` views.
 
-The flight recorder (:mod:`repro.obs.profiler`) leaves two artifacts
-behind a ``--profile`` campaign:
+The flight recorder (``--profile``, :mod:`repro.obs.profiler`) leaves
+two artifacts behind a campaign:
 
 * one JSON record per executed cell in the store's volatile ``perf/``
   namespace — the wall-clock breakdown (execute / warm-restore /
-  serialize / snapshot) plus the profiler digest (per-layer self-time,
-  fastpath counters, engine heap churn);
+  serialize / snapshot) plus the stack-sample digest (samples and
+  exclusive self-time by layer, engine heap churn);
 * one consolidated ``BENCH_campaign.json`` **ledger** in the cache dir —
   the campaign-level rollup of those records joined with the report's
   wall-clock, warm-start traffic, and replication budget.
@@ -14,8 +14,10 @@ behind a ``--profile`` campaign:
 This module builds the ledger (:func:`campaign_ledger`), renders the
 human view over a cache dir (:func:`perf_report_from_store` → the
 ``python -m repro perf-report`` command), and diffs two cache dirs
-(:func:`perf_compare` → ``perf-compare``).  Everything here reads
-wall-clock data only; nothing feeds back into cache keys or payloads.
+(:func:`perf_compare` → ``perf-compare``).  Each text view renders the
+dict its ``--json`` form serializes, so every figure is computed in one
+place.  Everything here reads wall-clock data only; nothing feeds back
+into cache keys or payloads.
 """
 
 from __future__ import annotations
@@ -28,7 +30,10 @@ from typing import Dict, Iterable, List, Optional, Tuple
 LEDGER_NAME = "BENCH_campaign.json"
 
 #: Schema tag of the ledger payload (bump on incompatible layout).
-LEDGER_VERSION = 1
+#: v2: layer rows carry sampled ``samples`` + exclusive ``self_s``
+#: (share × execute wall-clock) instead of per-callback ``events`` +
+#: inclusive time, and the fabric fastpath counters are gone.
+LEDGER_VERSION = 2
 
 
 # ----------------------------------------------------------------------
@@ -46,61 +51,54 @@ def _cell_label(row: dict) -> str:
     return label
 
 
+#: Per-cell wall-clock fields, summed into the totals.
+_TIMES = ("execute_s", "restore_s", "serialize_s", "snapshot_s")
+#: Profile totals the ledger carries (and its fallback restores).
+_PROFILE_TOTALS = ("events", "samples", "sampled_s", "self_s")
+#: Engine heap-churn counters summed over cells.
+_ENGINE = (
+    "events_processed", "scheduled", "timer_allocs", "freelist_reuse",
+    "compactions",
+)
+
+
 def aggregate_perf(rows: Iterable[dict]) -> dict:
     """Campaign-wide rollup of per-cell perf records.
 
     ``rows`` are the dicts the runner appends to ``report.perf`` (or the
-    record halves of ``DiskStore.iter_perf``, with identity merged in).
-    Missing keys degrade to zero — a stale or partial record never
-    raises.
+    output of :func:`perf_rows`).  Missing keys degrade to zero — a
+    stale or partial record never raises.  ``sampled_s`` is samples ×
+    sampling interval: the CPU time the samples cover.
     """
-    totals = {
-        "cells": 0,
-        "execute_s": 0.0,
-        "restore_s": 0.0,
-        "serialize_s": 0.0,
-        "snapshot_s": 0.0,
-        "events": 0,
-        "self_s": 0.0,
-    }
+    totals = {"cells": 0, **dict.fromkeys(_TIMES, 0.0)}
+    totals.update(events=0, samples=0, sampled_s=0.0, self_s=0.0)
     layers: Dict[str, Dict[str, float]] = {}
-    counters: Dict[str, int] = {}
-    engine = {
-        "events_processed": 0,
-        "scheduled": 0,
-        "timer_allocs": 0,
-        "freelist_reuse": 0,
-        "compactions": 0,
-    }
+    engine = dict.fromkeys(_ENGINE, 0)
     cells: List[dict] = []
     for row in rows:
         if not isinstance(row, dict):
             continue
-        totals["cells"] += 1
-        for key in ("execute_s", "restore_s", "serialize_s", "snapshot_s"):
-            totals[key] += float(row.get(key) or 0.0)
+        times = {key: float(row.get(key) or 0.0) for key in _TIMES}
         profile = row.get("profile") or {}
-        totals["events"] += int(profile.get("events") or 0)
+        samples = int(profile.get("samples") or 0)
+        events = int(profile.get("events") or 0)
+        totals["cells"] += 1
+        for key, t in times.items():
+            totals[key] += t
+        totals["events"] += events
+        totals["samples"] += samples
+        totals["sampled_s"] += samples * float(profile.get("interval_s") or 0)
         totals["self_s"] += float(profile.get("self_s") or 0.0)
         for layer, stats in (profile.get("layers") or {}).items():
-            dst = layers.setdefault(layer, {"events": 0, "self_s": 0.0})
-            dst["events"] += int(stats.get("events") or 0)
+            dst = layers.setdefault(layer, {"samples": 0, "self_s": 0.0})
+            dst["samples"] += int(stats.get("samples") or 0)
             dst["self_s"] += float(stats.get("self_s") or 0.0)
-        for name, n in (profile.get("counters") or {}).items():
-            counters[name] = counters.get(name, 0) + int(n)
         eng = profile.get("engine") or {}
         for key in engine:
             engine[key] += int(eng.get(key) or 0)
         cells.append(
-            {
-                "cell": _cell_label(row),
-                "execute_s": float(row.get("execute_s") or 0.0),
-                "restore_s": float(row.get("restore_s") or 0.0),
-                "serialize_s": float(row.get("serialize_s") or 0.0),
-                "snapshot_s": float(row.get("snapshot_s") or 0.0),
-                "events": int(profile.get("events") or 0),
-                "warm_status": row.get("warm_status"),
-            }
+            {"cell": _cell_label(row), **times, "events": events,
+             "warm_status": row.get("warm_status")}
         )
     # Stable label order (not wall-clock order) so the aggregate — and
     # the ledger rows built from it — byte-diffs cleanly across runs
@@ -109,9 +107,30 @@ def aggregate_perf(rows: Iterable[dict]) -> dict:
     return {
         "totals": totals,
         "layers": {k: layers[k] for k in sorted(layers)},
-        "counters": {k: counters[k] for k in sorted(counters)},
         "engine": engine,
         "cells": cells,
+    }
+
+
+def perf_view(rows: Iterable[dict], ledger: Optional[dict] = None) -> dict:
+    """:func:`aggregate_perf` of ``rows``, or the ledger's own rollup.
+
+    The fallback serves stores whose ``perf/`` records are gone (pruned):
+    the ledger's profile totals, layers, engine counters and top cells
+    stand in for the per-cell aggregate.
+    """
+    agg = aggregate_perf(rows)
+    if agg["totals"]["cells"] or not ledger:
+        return agg
+    profile = ledger.get("profile") or {}
+    return {
+        "totals": dict(
+            agg["totals"],
+            **{key: profile.get(key) or 0 for key in _PROFILE_TOTALS},
+        ),
+        "layers": profile.get("layers") or {},
+        "engine": profile.get("engine") or {},
+        "cells": ledger.get("top_cells") or [],
     }
 
 
@@ -123,7 +142,7 @@ def aggregate_perf(rows: Iterable[dict]) -> dict:
 def campaign_ledger(report, settings=None) -> dict:
     """JSON-ready campaign perf ledger from a ``CampaignReport``.
 
-    Joins the per-cell flight-recorder records with the report's
+    Joins the per-cell perf records with the report's
     campaign-level accounting (wall clock, cache hits, warm-start
     traffic, replication budget).  Written to :data:`LEDGER_NAME` by a
     profiled campaign; read back by ``perf-report`` / ``perf-compare``.
@@ -157,10 +176,8 @@ def campaign_ledger(report, settings=None) -> dict:
             "saved_fraction": report.reps_saved_fraction,
         },
         "profile": {
-            "events": agg["totals"]["events"],
-            "self_s": agg["totals"]["self_s"],
+            **{key: agg["totals"][key] for key in _PROFILE_TOTALS},
             "layers": agg["layers"],
-            "counters": agg["counters"],
             "engine": agg["engine"],
         },
         # Top 10 by execute time, then label-sorted so the committed
@@ -186,32 +203,58 @@ def campaign_ledger(report, settings=None) -> dict:
 
 
 def load_ledger(cache_dir) -> Optional[dict]:
-    """The cache dir's ``BENCH_campaign.json``, or None when absent/bad."""
+    """The cache dir's ``BENCH_campaign.json``, or None when absent, bad
+    or of another :data:`LEDGER_VERSION`."""
     path = Path(cache_dir) / LEDGER_NAME
     try:
         data = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, ValueError):
+        return data if data["ledger_version"] == LEDGER_VERSION else None
+    except (OSError, ValueError, LookupError, TypeError):
         return None
-    return data if isinstance(data, dict) else None
 
 
-def _store_rows(cache_dir) -> List[dict]:
-    """Per-cell perf records from the store, identity merged in."""
-    from ..experiments.store import DiskStore
+def perf_rows(pairs: Iterable[Tuple[dict, dict]]) -> List[dict]:
+    """Per-cell perf records of the current store schema, identity merged.
+
+    ``pairs`` are the ``(key_info, record)`` tuples ``iter_perf`` yields.
+    A record whose key names another store schema is from an older
+    generation of the cache: after a schema bump the same cell re-runs
+    and gets a second record under its new key, so counting both would
+    list it twice.  Records with no schema tag are kept.  A record whose
+    profile lacks the sampler's ``interval_s`` and ``samples`` was
+    written by the per-callback recorder, whose layer times are
+    inclusive; it is dropped too, so it never mixes into the sampled,
+    exclusive rows.
+    """
+    from ..experiments.store import SCHEMA_VERSION
 
     rows: List[dict] = []
-    for key, record in DiskStore(Path(cache_dir)).iter_perf():
+    for key, record in pairs:
+        key = key if isinstance(key, dict) else {}
         if not isinstance(record, dict):
+            continue
+        if key.get("schema", SCHEMA_VERSION) != SCHEMA_VERSION:
+            continue
+        profile = record.get("profile")
+        if not isinstance(profile, dict) or not {
+            "interval_s", "samples"
+        } <= profile.keys():
             continue
         merged = dict(record)
         for field in ("version", "fault", "rep", "seed"):
-            merged.setdefault(field, (key or {}).get(field))
+            merged.setdefault(field, key.get(field))
         rows.append(merged)
     return rows
 
 
+def _store_rows(cache_dir) -> List[dict]:
+    from ..experiments.store import DiskStore
+
+    return perf_rows(DiskStore(Path(cache_dir)).iter_perf())
+
+
 # ----------------------------------------------------------------------
-# perf-report rendering
+# perf-report
 # ----------------------------------------------------------------------
 
 
@@ -222,37 +265,17 @@ def _pct(part: float, whole: float) -> str:
 
 
 def _layer_lines(layers: Dict[str, dict], total_s: float) -> List[str]:
-    lines = [f"  {'layer':12s} {'events':>10s} {'self_s':>10s} {'share':>6s}"]
+    lines = [f"  {'layer':14s} {'samples':>9s} {'self_s':>10s} {'share':>6s}"]
     ordered = sorted(
         layers.items(), key=lambda kv: (-kv[1].get("self_s", 0.0), kv[0])
     )
     for layer, stats in ordered:
+        self_s = float(stats.get("self_s") or 0.0)
         lines.append(
-            f"  {layer:12s} {int(stats.get('events') or 0):10d}"
-            f" {float(stats.get('self_s') or 0.0):10.4f}"
-            f" {_pct(float(stats.get('self_s') or 0.0), total_s):>6s}"
+            f"  {layer:14s} {int(stats.get('samples') or 0):9d}"
+            f" {self_s:10.4f} {_pct(self_s, total_s):>6s}"
         )
     return lines
-
-
-def _fastpath_lines(counters: Dict[str, int]) -> List[str]:
-    fast = (
-        counters.get("fabric.fast_cached", 0)
-        + counters.get("fabric.fast_checked", 0)
-    )
-    slow = counters.get("fabric.slow", 0)
-    train = counters.get("fabric.fast_train", 0)
-    if not (fast or slow or train):
-        return []
-    total = fast + slow
-    rate = f"{100.0 * fast / total:.1f}%" if total else "—"
-    return [
-        "fabric fastpath: "
-        f"{counters.get('fabric.fast_cached', 0)} cached + "
-        f"{counters.get('fabric.fast_checked', 0)} checked hits, "
-        f"{slow} slow-path sends (hit rate {rate}); "
-        f"{train} train frames"
-    ]
 
 
 def _cell_lines(cells: List[dict], top: int = 15) -> List[str]:
@@ -274,19 +297,18 @@ def _cell_lines(cells: List[dict], top: int = 15) -> List[str]:
     return lines
 
 
-def render_perf_report(
-    rows: List[dict], ledger: Optional[dict] = None, source: str = ""
-) -> str:
-    """Text report over per-cell perf records plus the optional ledger."""
+def _render_report(report: dict) -> str:
+    source = report["source"]
+    ledger = report["ledger"]
+    agg = report["aggregate"]
+    totals = agg["totals"]
     lines = [f"flight recorder — {source}" if source else "flight recorder"]
-    if not rows and not ledger:
+    if not totals["cells"] and not ledger:
         lines.append(
             "no flight-recorder data found (no perf/ records and no "
             f"{LEDGER_NAME}); run the campaign with --profile to collect"
         )
         return "\n".join(lines)
-    agg = aggregate_perf(rows)
-    totals = agg["totals"]
     if ledger:
         cells = ledger.get("cells") or {}
         timing = ledger.get("timing") or {}
@@ -316,30 +338,19 @@ def render_perf_report(
                 f"({100.0 * float(reps.get('saved_fraction') or 0.0):.0f}% "
                 "saved)"
             )
-    if not rows and ledger:
-        # Fall back to the ledger's own rollup (e.g. an in-memory
-        # campaign that only persisted the consolidated file).
-        profile = ledger.get("profile") or {}
-        agg = {
-            "totals": dict(
-                totals,
-                events=int(profile.get("events") or 0),
-                self_s=float(profile.get("self_s") or 0.0),
-            ),
-            "layers": profile.get("layers") or {},
-            "counters": profile.get("counters") or {},
-            "engine": profile.get("engine") or {},
-            "cells": ledger.get("top_cells") or [],
-        }
-        totals = agg["totals"]
     lines.append(
         f"profiled: {totals['cells'] or len(agg['cells'])} cell record(s), "
-        f"{totals['events']} events, {totals['self_s']:.4f}s self-time"
+        f"{totals['events']} events, {totals['samples']} stack samples"
     )
+    if totals["samples"]:
+        lines.append(
+            f"sample coverage: {totals['sampled_s']:.2f}s of sampled CPU "
+            f"time over {totals['self_s']:.2f}s of execute wall-clock "
+            f"({_pct(totals['sampled_s'], totals['self_s']).strip()})"
+        )
     if agg["layers"]:
-        lines.append("self-time by layer:")
+        lines.append("self-time by layer (exclusive, sampled):")
         lines += _layer_lines(agg["layers"], totals["self_s"])
-    lines += _fastpath_lines(agg["counters"])
     eng = agg["engine"]
     if eng and any(eng.values()):
         scheduled = int(eng.get("scheduled") or 0)
@@ -358,15 +369,37 @@ def render_perf_report(
     return "\n".join(lines)
 
 
-def perf_report_from_store(cache_dir) -> str:
+def render_perf_report(
+    rows: List[dict],
+    ledger: Optional[dict] = None,
+    source: str = "",
+    as_json: bool = False,
+) -> str:
+    """Report over per-cell perf records plus the optional ledger.
+
+    ``as_json`` returns the report dict the text view renders, as stable
+    JSON: sorted keys, label-sorted per-cell rows (see
+    :func:`aggregate_perf`), so tracking the bench trajectory is a
+    ``jq``/diff affair instead of scraping the text report.
+    """
+    report = {
+        "kind": "perf-report",
+        "source": source,
+        "aggregate": perf_view(rows, ledger),
+        "ledger": ledger,
+    }
+    if as_json:
+        return json.dumps(report, indent=2, sort_keys=True)
+    return _render_report(report)
+
+
+def perf_report_from_store(cache_dir, as_json: bool = False) -> str:
     """The ``perf-report`` command body: render one cache dir."""
     cache_dir = Path(cache_dir)
     if not cache_dir.is_dir():
         raise ValueError(f"{cache_dir}: not a directory")
     return render_perf_report(
-        _store_rows(cache_dir),
-        ledger=load_ledger(cache_dir),
-        source=str(cache_dir),
+        _store_rows(cache_dir), load_ledger(cache_dir), str(cache_dir), as_json
     )
 
 
@@ -374,131 +407,25 @@ def perf_report_from_store(cache_dir) -> str:
 # perf-compare
 # ----------------------------------------------------------------------
 
-
-def _side(cache_dir) -> Tuple[dict, Optional[dict]]:
-    return aggregate_perf(_store_rows(cache_dir)), load_ledger(cache_dir)
-
-
-def _delta_line(label: str, a: float, b: float, unit: str = "s") -> str:
-    if a > 0:
-        rel = f"{100.0 * (b - a) / a:+7.1f}%"
-    elif b > 0:
-        rel = "   new"
-    else:
-        rel = "     ="
-    return f"  {label:28s} {a:12.4f}{unit} {b:12.4f}{unit} {rel}"
+#: Totals diffed by perf-compare (``*_s`` in seconds, the rest counts).
+_COMPARED_TOTALS = _TIMES + ("events", "samples")
 
 
-def perf_compare(dir_a, dir_b) -> Tuple[str, bool]:
-    """Compare two profiled cache dirs; returns ``(text, comparable)``.
+def _compare(dir_a, dir_b) -> dict:
+    """The ``perf-compare --json`` payload; the text view renders it.
 
     ``comparable`` is False when either side has no flight-recorder data
     at all — the CLI maps that to a non-zero exit so CI catches a
     perf-smoke job that silently profiled nothing.
     """
     dir_a, dir_b = Path(dir_a), Path(dir_b)
-    agg_a, ledger_a = _side(dir_a)
-    agg_b, ledger_b = _side(dir_b)
-    has_a = bool(agg_a["totals"]["cells"] or ledger_a)
-    has_b = bool(agg_b["totals"]["cells"] or ledger_b)
-    lines = [f"perf-compare — A: {dir_a}  B: {dir_b}"]
-    if not (has_a and has_b):
-        for name, ok, d in (("A", has_a, dir_a), ("B", has_b, dir_b)):
-            if not ok:
-                lines.append(
-                    f"{name} ({d}): no flight-recorder data "
-                    "(run with --profile)"
-                )
-        return "\n".join(lines), False
-    lines.append(f"  {'metric':28s} {'A':>13s} {'B':>13s} {'Δ':>8s}")
-    for label, key in (
-        ("wall_clock", "wall_clock_s"),
-    ):
-        a = float((ledger_a or {}).get(key) or 0.0)
-        b = float((ledger_b or {}).get(key) or 0.0)
-        if a or b:
-            lines.append(_delta_line(label, a, b))
-    for label in ("execute_s", "restore_s", "serialize_s", "snapshot_s"):
-        lines.append(
-            _delta_line(
-                label,
-                agg_a["totals"][label],
-                agg_b["totals"][label],
-            )
-        )
-    lines.append(
-        _delta_line(
-            "events",
-            float(agg_a["totals"]["events"]),
-            float(agg_b["totals"]["events"]),
-            unit=" ",
-        )
-    )
-    all_layers = sorted(set(agg_a["layers"]) | set(agg_b["layers"]))
-    if all_layers:
-        lines.append("self-time by layer:")
-        for layer in all_layers:
-            lines.append(
-                _delta_line(
-                    f"layer.{layer}",
-                    float(
-                        (agg_a["layers"].get(layer) or {}).get("self_s", 0.0)
-                    ),
-                    float(
-                        (agg_b["layers"].get(layer) or {}).get("self_s", 0.0)
-                    ),
-                )
-            )
-    all_counters = sorted(set(agg_a["counters"]) | set(agg_b["counters"]))
-    if all_counters:
-        lines.append("counters:")
-        for name in all_counters:
-            lines.append(
-                _delta_line(
-                    name,
-                    float(agg_a["counters"].get(name, 0)),
-                    float(agg_b["counters"].get(name, 0)),
-                    unit=" ",
-                )
-            )
-    return "\n".join(lines), True
-
-
-# ----------------------------------------------------------------------
-# Machine-readable views (--json)
-# ----------------------------------------------------------------------
-
-
-def perf_report_json(cache_dir) -> str:
-    """``perf-report --json``: the aggregated ledger as stable JSON.
-
-    Key order is sorted and the per-cell rows are label-sorted (see
-    :func:`aggregate_perf`), so tracking the bench trajectory is a
-    ``jq``/diff affair instead of scraping the text report.
-    """
-    cache_dir = Path(cache_dir)
-    if not cache_dir.is_dir():
-        raise ValueError(f"{cache_dir}: not a directory")
-    payload = {
-        "kind": "perf-report",
-        "source": str(cache_dir),
-        "aggregate": aggregate_perf(_store_rows(cache_dir)),
-        "ledger": load_ledger(cache_dir),
+    ledger_a, ledger_b = load_ledger(dir_a), load_ledger(dir_b)
+    agg_a = perf_view(_store_rows(dir_a), ledger_a)
+    agg_b = perf_view(_store_rows(dir_b), ledger_b)
+    profiled = {
+        "a": bool(agg_a["totals"]["cells"] or ledger_a),
+        "b": bool(agg_b["totals"]["cells"] or ledger_b),
     }
-    return json.dumps(payload, indent=2, sort_keys=True)
-
-
-def perf_compare_json(dir_a, dir_b) -> Tuple[str, bool]:
-    """``perf-compare --json``: the A/B deltas as stable JSON.
-
-    Same comparability contract as :func:`perf_compare`: the flag is
-    False (CLI exits non-zero) when either side has no perf data.
-    """
-    dir_a, dir_b = Path(dir_a), Path(dir_b)
-    agg_a, ledger_a = _side(dir_a)
-    agg_b, ledger_b = _side(dir_b)
-    has_a = bool(agg_a["totals"]["cells"] or ledger_a)
-    has_b = bool(agg_b["totals"]["cells"] or ledger_b)
 
     def delta(a: Optional[float], b: Optional[float]) -> dict:
         a = float(a or 0.0)
@@ -510,24 +437,19 @@ def perf_compare_json(dir_a, dir_b) -> Tuple[str, bool]:
             "relative": (b - a) / a if a else None,
         }
 
-    payload = {
+    return {
         "kind": "perf-compare",
         "a": str(dir_a),
         "b": str(dir_b),
-        "comparable": has_a and has_b,
+        "profiled": profiled,
+        "comparable": profiled["a"] and profiled["b"],
         "wall_clock_s": delta(
             (ledger_a or {}).get("wall_clock_s"),
             (ledger_b or {}).get("wall_clock_s"),
         ),
         "totals": {
             key: delta(agg_a["totals"][key], agg_b["totals"][key])
-            for key in (
-                "execute_s",
-                "restore_s",
-                "serialize_s",
-                "snapshot_s",
-                "events",
-            )
+            for key in _COMPARED_TOTALS
         },
         "layers": {
             layer: delta(
@@ -536,14 +458,46 @@ def perf_compare_json(dir_a, dir_b) -> Tuple[str, bool]:
             )
             for layer in sorted(set(agg_a["layers"]) | set(agg_b["layers"]))
         },
-        "counters": {
-            name: delta(
-                agg_a["counters"].get(name, 0),
-                agg_b["counters"].get(name, 0),
-            )
-            for name in sorted(
-                set(agg_a["counters"]) | set(agg_b["counters"])
-            )
-        },
     }
-    return json.dumps(payload, indent=2, sort_keys=True), has_a and has_b
+
+
+def _delta_line(label: str, d: dict, unit: str = "s") -> str:
+    if d["relative"] is not None:
+        rel = f"{100.0 * d['relative']:+7.1f}%"
+    elif d["b"] > 0:
+        rel = "   new"
+    else:
+        rel = "     ="
+    return f"  {label:28s} {d['a']:12.4f}{unit} {d['b']:12.4f}{unit} {rel}"
+
+
+def perf_compare(dir_a, dir_b, as_json: bool = False) -> Tuple[str, bool]:
+    """Compare two profiled cache dirs; returns ``(text, comparable)``.
+
+    ``as_json`` returns the A/B deltas as stable JSON instead, under the
+    same comparability flag (the CLI exits non-zero when it is False).
+    """
+    cmp = _compare(dir_a, dir_b)
+    if as_json:
+        return json.dumps(cmp, indent=2, sort_keys=True), cmp["comparable"]
+    lines = [f"perf-compare — A: {cmp['a']}  B: {cmp['b']}"]
+    if not cmp["comparable"]:
+        for side in ("a", "b"):
+            if not cmp["profiled"][side]:
+                lines.append(
+                    f"{side.upper()} ({cmp[side]}): no flight-recorder data "
+                    "(run with --profile)"
+                )
+        return "\n".join(lines), False
+    lines.append(f"  {'metric':28s} {'A':>13s} {'B':>13s} {'Δ':>8s}")
+    wall = cmp["wall_clock_s"]
+    if wall["a"] or wall["b"]:
+        lines.append(_delta_line("wall_clock", wall))
+    for key in _COMPARED_TOTALS:
+        unit = "s" if key.endswith("_s") else " "
+        lines.append(_delta_line(key, cmp["totals"][key], unit))
+    if cmp["layers"]:
+        lines.append("self-time by layer:")
+        for layer, d in cmp["layers"].items():
+            lines.append(_delta_line(f"layer.{layer}", d))
+    return "\n".join(lines), True

@@ -30,6 +30,7 @@ provenance; ``repro.analysis.report.campaign_timing_report`` renders it.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
 import json
@@ -42,6 +43,7 @@ from ..core.model import ProfileSet
 from ..core.stages import SevenStageProfile, average_profiles
 from ..faults.spec import FaultKind
 from ..obs.metrics import MetricsRegistry
+from ..obs.profiler import StackSampler, require_sampler
 from ..press.config import ALL_VERSIONS_EXTENDED
 from .repeaters import (
     REASON_BUDGET,
@@ -157,25 +159,18 @@ def _make_spans(spans: Optional[tuple]):
     return SpanCollector(sample_every=spans[2])
 
 
-def _make_profiler(profile: bool):
-    """A fresh :class:`~repro.obs.profiler.FlightRecorder`, or None."""
-    if not profile:
-        return None
-    from ..obs.profiler import FlightRecorder
-
-    return FlightRecorder()
-
-
 def _perf_record(
-    recorder, cluster, payload: dict, restore_s: float, execute_s: float,
-    warm_prov: dict,
+    sampler, cluster, payload: dict, restore_s: float, execute_s: float,
+    events0: int, warm_prov: dict,
 ) -> dict:
-    """One cell's wall-clock breakdown + flight-recorder digest.
+    """One cell's wall-clock breakdown + stack-sample digest.
 
     Built *after* the payload so the store-serialize cost can be
     measured on the exact bytes the store will write; the record itself
     never enters the payload the runner persists (it is popped into the
-    store's volatile ``perf/`` namespace).
+    store's volatile ``perf/`` namespace).  ``events0`` is the count of
+    engine events a restored warm segment had already executed, so
+    ``events`` counts the cell's own.
     """
     ser0 = time.perf_counter()
     json.dumps(payload)
@@ -189,7 +184,10 @@ def _perf_record(
         "snapshot_s": float(warm_prov.get("capture_s") or 0.0),
         "elapsed_s": float(payload.get("elapsed", 0.0)),
         "warm_status": warm_prov.get("status"),
-        "profile": recorder.digest(cluster.engine),
+        "profile": {
+            "events": cluster.engine.events_processed - events0,
+            **sampler.digest(execute_s, cluster.engine),
+        },
     }
 
 
@@ -212,16 +210,17 @@ def _baseline_cell(
     )
     restore_s = time.perf_counter() - start
     collector = _make_spans(spans)
-    recorder = _make_profiler(profile)
+    sampler = StackSampler() if profile else contextlib.nullcontext()
+    events0 = 0 if cluster is None else cluster.engine.events_processed
     run_at = time.perf_counter()
-    tn, cluster = run_baseline(
-        ALL_VERSIONS_EXTENDED[version],
-        cell_settings,
-        recorder=None if cluster is not None else obs,
-        warm_cluster=cluster,
-        spans=collector,
-        profiler=recorder,
-    )
+    with sampler:
+        tn, cluster = run_baseline(
+            ALL_VERSIONS_EXTENDED[version],
+            cell_settings,
+            recorder=None if cluster is not None else obs,
+            warm_cluster=cluster,
+            spans=collector,
+        )
     execute_s = time.perf_counter() - run_at
     obs.finish(cluster)
     _export_cell_spans(
@@ -248,9 +247,9 @@ def _baseline_cell(
             tn,
         ),
     }
-    if recorder is not None:
+    if profile:
         payload["perf"] = _perf_record(
-            recorder, cluster, payload, restore_s, execute_s, warm_prov
+            sampler, cluster, payload, restore_s, execute_s, events0, warm_prov
         )
     _export_cell_trace(
         obs.recorder, trace, version=version, fault=None, seed=seed
@@ -281,7 +280,8 @@ def _fault_cell(
     )
     restore_s = time.perf_counter() - start
     collector = _make_spans(spans)
-    recorder = _make_profiler(profile)
+    sampler = StackSampler() if profile else contextlib.nullcontext()
+    events0 = 0 if cluster is None else cluster.engine.events_processed
     run_at = time.perf_counter()
     # The cell measures its *own* pre-injection throughput as Tn.  The
     # extraction thresholds (impact/recovery, a few percent of Tn) need
@@ -289,15 +289,15 @@ def _fault_cell(
     # correlation is exact — baseline and faults of a (version, rep)
     # share the pre-injection trajectory, as the historical serial path
     # arranged by running them under one seed per replication.
-    record, cluster = run_single_fault(
-        ALL_VERSIONS_EXTENDED[version],
-        kind,
-        cell_settings,
-        recorder=None if cluster is not None else obs,
-        warm_cluster=cluster,
-        spans=collector,
-        profiler=recorder,
-    )
+    with sampler:
+        record, cluster = run_single_fault(
+            ALL_VERSIONS_EXTENDED[version],
+            kind,
+            cell_settings,
+            recorder=None if cluster is not None else obs,
+            warm_cluster=cluster,
+            spans=collector,
+        )
     execute_s = time.perf_counter() - run_at
     obs.finish(cluster)
     _export_cell_spans(
@@ -326,9 +326,9 @@ def _fault_cell(
             record.normal_throughput,
         ),
     }
-    if recorder is not None:
+    if profile:
         payload["perf"] = _perf_record(
-            recorder, cluster, payload, restore_s, execute_s, warm_prov
+            sampler, cluster, payload, restore_s, execute_s, events0, warm_prov
         )
     _export_cell_trace(
         obs.recorder, trace, version=version, fault=fault_value, seed=seed
@@ -630,11 +630,13 @@ class CampaignRunner:
         self.trace_format = trace_format
         self.spans_dir = str(spans_dir) if spans_dir is not None else None
         self.span_sample = max(1, int(span_sample))
-        #: attach a wall-clock flight recorder to every executed cell.
+        #: stack-sample every executed cell (the flight recorder).
         #: Deliberately NOT part of the settings key: profiling observes
         #: only host time, so profiled and unprofiled campaigns share one
         #: cache universe and byte-identical payloads.
         self.profile = bool(profile)
+        if self.profile:
+            require_sampler()
         #: run-scoped warm-checkpoint spool (in-memory parallel runs)
         self._spool = None
         self.warm_start = warm_start
@@ -1165,11 +1167,11 @@ class CampaignRunner:
         the report carries a one-line pointer so a profiled run is never
         silent about where its measurements went.
         """
-        from ..analysis.perf import campaign_ledger
+        from ..analysis.perf import LEDGER_NAME, campaign_ledger
 
         ledger = campaign_ledger(report, settings=self.settings)
         if isinstance(self.store, DiskStore):
-            path = self.store.cache_dir / "BENCH_campaign.json"
+            path = self.store.cache_dir / LEDGER_NAME
             path.write_text(
                 json.dumps(ledger, indent=2, sort_keys=True) + "\n",
                 encoding="utf-8",

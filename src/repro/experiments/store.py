@@ -81,7 +81,7 @@ CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 SUMMARY_DIR = "repetition"
 
 #: Subdirectory of a DiskStore holding per-cell wall-clock perf records
-#: (the flight-recorder digests; see repro.obs.profiler).  Like
+#: (the flight recorder's sample digests; see repro.obs.profiler).  Like
 #: ``warmstart/`` and ``repetition/``, it sits beside the two-hex-char
 #: cell shards, so ``iter_cells`` and ``store-diff`` never see it.  No
 #: schema bump accompanies it: perf records are volatile host timings,
@@ -208,9 +208,6 @@ class ResultStore:
         pass
 
     # -- volatile perf records (flight recorder) ----------------------
-    def get_perf(self, key: CellKey) -> Optional[dict]:
-        return None
-
     def put_perf(self, key: CellKey, record: dict) -> None:
         pass
 
@@ -238,9 +235,6 @@ class MemoryStore(ResultStore):
 
     def put_summary(self, key: SummaryKey, payload: dict) -> None:
         self._summaries[key] = payload
-
-    def get_perf(self, key: CellKey) -> Optional[dict]:
-        return self._perf.get(key)
 
     def put_perf(self, key: CellKey, record: dict) -> None:
         self._perf[key] = record
@@ -372,16 +366,6 @@ class DiskStore(ResultStore):
     def _perf_path(self, key: CellKey) -> Path:
         return self.cache_dir / PERF_DIR / f"{key.digest()}.json"
 
-    def get_perf(self, key: CellKey) -> Optional[dict]:
-        try:
-            with open(self._perf_path(key), "r", encoding="utf-8") as fh:
-                data = json.load(fh)
-        except (OSError, json.JSONDecodeError, UnicodeDecodeError):
-            return None
-        if not isinstance(data, dict) or "perf" not in data:
-            return None
-        return data["perf"]
-
     def put_perf(self, key: CellKey, record: dict) -> None:
         self._write_record(
             self._perf_path(key),
@@ -401,8 +385,9 @@ class DiskStore(ResultStore):
         """Yield ``(key_info, record)`` per readable stored perf record.
 
         A reporting walk like :meth:`iter_cells` — unreadable or foreign
-        files are skipped, and newest-schema filtering is the caller's
-        concern (perf records carry their cell's schema in ``key``).
+        files are skipped.  Records carry their cell's schema in ``key``;
+        :func:`repro.analysis.perf.perf_rows`, the loader every perf view
+        uses, drops the older generations.
         """
         root = self.cache_dir / PERF_DIR
         if not root.is_dir():
@@ -508,8 +493,11 @@ class DiskStore(ResultStore):
         return path.is_dir() and len(path.name) == 2
 
     def clear(self) -> None:
-        """Remove every cached cell, repetition summary, and perf record
-        (the directory itself is kept)."""
+        """Remove every cached cell, repetition summary, perf record, and
+        the campaign perf ledger (the directory itself is kept)."""
+        from ..analysis.perf import LEDGER_NAME
+
+        (self.cache_dir / LEDGER_NAME).unlink(missing_ok=True)
         for shard in self.cache_dir.iterdir():
             if (
                 not self._is_shard(shard)

@@ -258,9 +258,6 @@ class Fabric:
             spans = self.engine.spans
             if spans is not None and frame.trace_id:
                 self._span_open(spans, frame)
-            profiler = self.engine.profiler
-            if profiler is not None:
-                profiler.count("fabric.fast_cached")
             self._submit_seq = seq = self._submit_seq + 1
             self._fast_submit(
                 frame, frame.size + WIRE_OVERHEAD_BYTES, seq, cached[1], cached[2]
@@ -276,15 +273,10 @@ class Fabric:
         wire_size = frame.size + WIRE_OVERHEAD_BYTES
 
         entry = self._check_fast(frame.src, frame.dst)
-        profiler = self.engine.profiler
         if entry is not None:
-            if profiler is not None:
-                profiler.count("fabric.fast_checked")
             self._submit_seq = seq = self._submit_seq + 1
             self._fast_submit(frame, wire_size, seq, entry[1], entry[2])
             return True
-        if profiler is not None:
-            profiler.count("fabric.slow")
 
         # SAN hardware detects unreachable peers at send time: a dead link
         # or a powered-off remote NIC yields an immediate error report.
@@ -336,9 +328,6 @@ class Fabric:
         frame_ids = self._frame_ids
         fast_submit = self._fast_submit
         spans = self.engine.spans
-        profiler = self.engine.profiler
-        if profiler is not None:
-            profiler.count("fabric.fast_train", len(frames))
         seq = self._submit_seq
         for frame in frames:
             frame.frame_id = next(frame_ids)

@@ -1,192 +1,190 @@
-"""Wall-clock flight recorder: where the *host's* time goes.
+"""Stack-sampling flight recorder: where the *host's* time goes.
 
 Every other observability layer (bus, spans, sketches, attribution)
-explains the *simulated* system.  This one explains the simulator: which
-layer's callbacks burn the wall-clock, how often the fabric fast path
-actually engages, how much the engine's heap churns — the data the
-scaling work (ROADMAP items 1 and 4) needs before picking what to
-optimize next.
+explains the *simulated* system.  This one explains the simulator:
+which layer's code burns the wall-clock of a campaign cell.
 
-Like the bus and the span collector, the recorder is an *attach point*
-on the engine (``engine.profiler``), and every instrumentation site
-guards with::
-
-    profiler = self.engine.profiler
-    if profiler is not None:
-        ...
-
-so a run with profiling disabled pays exactly one attribute load per
-would-be probe (the ``profiler_guard_zero_overhead`` bench-gate claim
-pins that at ~0).  The engine itself pays even less: ``Engine.run``
-checks the attach point once per call and dispatches to a separate
-instrumented loop, leaving the unprofiled hot loop untouched.
+It works from outside the simulation.  While a cell executes,
+``signal.setitimer(ITIMER_PROF)`` delivers ``SIGPROF`` every
+:data:`INTERVAL_S` of process CPU time; the handler walks the
+interrupted frame outward to the innermost ``repro.*`` frame and counts
+one sample for that frame's code; the digest groups the counts by layer
+and by ``module.qualname`` site.  Time in the stdlib or in C code called
+from ``repro`` is charged to the ``repro`` frame that called it; a stack
+with no ``repro.*`` frame at all counts as :data:`OTHER`.  A layer's
+sample share is therefore its *exclusive* share of the cell's CPU time,
+the same thing cProfile's per-function ``tottime`` sums to — without
+cProfile's per-call cost or any probe inside the simulator.
 
 Determinism contract
 --------------------
-The recorder only ever *observes*: it reads ``time.perf_counter`` and
-increments counters.  It never schedules events, mutates component
-state, or perturbs iteration order, so a profiled run is byte-identical
-to an unprofiled one — enforced by ``tests/obs/test_profiler_determinism``
-and the CI ``perf-smoke`` job.  Its output is wall-clock and therefore
-*volatile*: per-cell digests are persisted in the result store's
-``perf/`` namespace (beside ``warmstart/`` and ``repetition/``), never
-in the cell payload, so cache keys, payload fingerprints, and
-``store-diff`` are untouched by nondeterministic timings.
-
-Self-time attribution
----------------------
-The engine's event loop is flat — a callback runs to completion before
-the next event dispatches — so the wall-clock interval around one
-callback *is* that event's self-time.  Events are keyed by their
-callback's identity (the underlying code object for functions and bound
-methods, the class for callable objects), which is stable across the
-timer freelist's object recycling and across closure re-creation, and
-grouped into *layers* by the callback's defining module
-(``repro.net.fabric`` → ``net``).
+The sampler never touches simulation state: the engine, the fabric and
+every component run exactly the code they run unprofiled, so a profiled
+cell is byte-identical to a plain one — enforced by
+``tests/obs/test_profiler_determinism`` and the CI ``perf-smoke`` job.
+Its output is wall-clock and therefore *volatile*: per-cell digests are
+persisted in the result store's ``perf/`` namespace, never in the cell
+payload, so cache keys, payload fingerprints and ``store-diff`` are
+untouched by nondeterministic timings.
 """
 
 from __future__ import annotations
 
-import time
-from types import FunctionType, MethodType
+import gc
+import inspect
+import signal
+from types import CodeType, FunctionType
 from typing import Any, Dict, Optional, Tuple
 
+#: Sampling period, in seconds of process CPU time.  About 250 samples
+#: per second of execute time: enough for layer shares within a few
+#: percent on a one-second cell, at a handler cost too small to measure.
+INTERVAL_S = 0.004
 
-def _site_key(fn) -> Any:
-    """Stable identity of a callback site.
-
-    Bound methods are re-created per attribute access and plain
-    functions are re-created per closure, so both are keyed by their
-    code object; callable instances (delivery callbacks, ``functools``
-    partials, builtins) are keyed by their class.
-    """
-    t = type(fn)
-    if t is MethodType:
-        return fn.__func__.__code__
-    if t is FunctionType:
-        return fn.__code__
-    return t
+#: Layer of a sample whose stack holds no ``repro.*`` frame.
+OTHER = "other"
 
 
-def _site_label(fn) -> Tuple[str, str]:
-    """``(module, qualname)`` of a callback site, for display."""
-    t = type(fn)
-    if t is MethodType:
-        f = fn.__func__
-        return f.__module__ or "?", f.__qualname__
-    if t is FunctionType:
-        return fn.__module__ or "?", fn.__qualname__
-    return t.__module__ or "?", t.__qualname__
+def require_sampler() -> None:
+    """Raise when this platform cannot run the sampler (no setitimer)."""
+    if not hasattr(signal, "setitimer") or not hasattr(signal, "SIGPROF"):
+        raise RuntimeError(
+            "--profile needs signal.setitimer and SIGPROF, which this "
+            "platform does not provide"
+        )
 
 
 def layer_of(module: str) -> str:
-    """Map a defining module to its architectural layer.
+    """Map a ``repro.*`` module to its architectural layer.
 
-    ``repro.net.fabric`` → ``net``, ``repro.sim.engine`` → ``sim``;
-    non-repro callables (tests, stdlib) keep their top-level package.
+    ``repro.net.fabric`` → ``net``; the simulation core keeps its module,
+    so ``repro.sim.engine`` → ``sim.engine`` (engine dispatch is a layer
+    of its own).
     """
     parts = module.split(".")
-    if parts[0] == "repro" and len(parts) > 1:
-        return parts[1]
-    return parts[0]
+    return ".".join(parts[1:3]) if parts[1] == "sim" else parts[1]
 
 
-class FlightRecorder:
-    """Accumulates per-event-kind self-time, counts, and named counters.
+#: code object -> qualified name, for Pythons without ``co_qualname``.
+_QUALNAMES: Dict[CodeType, str] = {}
 
-    One instance is attached per run (``engine.profiler = recorder``);
-    :meth:`digest` renders the accumulated data JSON-ready for the
-    per-cell perf record.
+
+def _index_functions() -> None:
+    """Name the code of every live function, and the code nested in it,
+    the way the compiler builds ``__qualname__``.  A wrapper that
+    ``functools.wraps`` renamed is named from its enclosing function."""
+    todo = [
+        (f.__code__, f.__qualname__)
+        for f in gc.get_objects()
+        if isinstance(f, FunctionType)
+        and f.__qualname__.rpartition(".")[2] == f.__code__.co_name
+    ]
+    while todo:
+        outer, name = todo.pop()
+        _QUALNAMES[outer] = name
+        sep = ".<locals>." if outer.co_flags & inspect.CO_NEWLOCALS else "."
+        todo += [
+            (c, name + sep + c.co_name)
+            for c in outer.co_consts
+            if isinstance(c, CodeType)
+        ]
+
+
+def qualname(code: CodeType) -> str:
+    """``code``'s qualified name on every supported Python (3.11 added
+    ``co_qualname``; before, it is recovered from the live functions)."""
+    if hasattr(code, "co_qualname"):
+        return code.co_qualname
+    if code not in _QUALNAMES:
+        _index_functions()
+        _QUALNAMES.setdefault(code, f"{code.co_name}@{code.co_firstlineno}")
+    return _QUALNAMES[code]
+
+
+class StackSampler:
+    """Counts ``SIGPROF`` samples by innermost ``repro.*`` layer and site.
+
+    Use one instance per cell as a context manager around the execute
+    region: entering installs the handler and arms the timer; leaving —
+    normally or by an exception — disarms the timer and restores the
+    handler that was installed before.
     """
 
-    __slots__ = ("_sites", "counters", "_labels")
-
     def __init__(self) -> None:
-        #: site key -> [count, self_seconds]
-        self._sites: Dict[Any, list] = {}
-        #: site key -> (module, qualname), resolved on first sight
-        self._labels: Dict[Any, Tuple[str, str]] = {}
-        #: named event counters (fabric fastpath hits, heap churn, ...)
-        self.counters: Dict[str, int] = {}
+        self.samples = 0
+        #: (module, code) of the charged frame -> samples; None = other
+        self._hits: Dict[Optional[Tuple[str, CodeType]], int] = {}
+        self._previous: Any = None
 
-    # -- hot-path API (called from instrumented loops) ------------------
-    def record(self, fn, seconds: float) -> None:
-        """Charge ``seconds`` of self-time to ``fn``'s site."""
-        key = _site_key(fn)
-        site = self._sites.get(key)
-        if site is None:
-            self._sites[key] = [1, seconds]
-            self._labels[key] = _site_label(fn)
-        else:
-            site[0] += 1
-            site[1] += seconds
+    def _handler(self, signum, frame) -> None:
+        self.samples += 1
+        key = None
+        while frame is not None:
+            module = frame.f_globals.get("__name__", "")
+            if module.startswith("repro."):
+                key = (module, frame.f_code)
+                break
+            frame = frame.f_back
+        self._hits[key] = self._hits.get(key, 0) + 1
 
-    def count(self, name: str, n: int = 1) -> None:
-        """Increment the named counter by ``n``."""
-        counters = self.counters
-        counters[name] = counters.get(name, 0) + n
-
-    # -- aggregation ----------------------------------------------------
-    def layers(self) -> Dict[str, Dict[str, float]]:
-        """Self-time and event counts grouped by architectural layer."""
-        out: Dict[str, Dict[str, float]] = {}
-        for key, (count, seconds) in self._sites.items():
-            module, _ = self._labels[key]
-            row = out.setdefault(
-                layer_of(module), {"events": 0, "self_s": 0.0}
-            )
-            row["events"] += count
-            row["self_s"] += seconds
+    def _tally(self, name_of) -> Dict[str, int]:
+        out: Dict[str, int] = {}
+        for key, n in self._hits.items():
+            name = OTHER if key is None else name_of(*key)
+            out[name] = out.get(name, 0) + n
         return out
 
-    def sites(self, top: int = 20) -> list:
-        """The ``top`` costliest callback sites, by self-time."""
-        rows = [
-            {
-                "site": f"{module}.{qualname}",
-                "layer": layer_of(module),
-                "events": count,
-                "self_s": seconds,
-            }
-            for key, (count, seconds) in self._sites.items()
-            for module, qualname in (self._labels[key],)
-        ]
-        rows.sort(key=lambda r: (-r["self_s"], r["site"]))
-        return rows[:top]
+    @property
+    def layers(self) -> Dict[str, int]:
+        """layer -> samples"""
+        return self._tally(lambda module, code: layer_of(module))
 
-    def digest(self, engine: Optional[Any] = None, top: int = 20) -> dict:
+    @property
+    def sites(self) -> Dict[str, int]:
+        """``module.qualname`` -> samples"""
+        return self._tally(lambda module, code: f"{module}.{qualname(code)}")
+
+    def __enter__(self) -> "StackSampler":
+        self._previous = signal.signal(signal.SIGPROF, self._handler)
+        signal.setitimer(signal.ITIMER_PROF, INTERVAL_S, INTERVAL_S)
+        return self
+
+    def __exit__(self, *exc) -> None:
+        try:
+            signal.setitimer(signal.ITIMER_PROF, 0.0)
+        finally:
+            signal.signal(signal.SIGPROF, self._previous)
+
+    def digest(self, execute_s: float, engine: Optional[Any] = None) -> dict:
         """JSON-ready summary for the per-cell perf record.
 
+        Each layer's ``self_s`` is its sample share times ``execute_s``,
+        so the layer rows add up to the execute wall-clock whenever at
+        least one sample landed; the 20 most-sampled sites are kept.
         ``engine`` (optional) contributes its scheduling/heap-churn
         counters.
         """
-        total_events = sum(c for c, _ in self._sites.values())
-        total_s = sum(s for _, s in self._sites.values())
+        total = self.samples
+
+        def row(n: int) -> dict:
+            return {"samples": n, "self_s": n / total * execute_s}
+
+        sites = sorted(self.sites.items(), key=lambda kv: (-kv[1], kv[0]))
         out = {
-            "events": total_events,
-            "self_s": total_s,
-            "layers": {
-                layer: {
-                    "events": row["events"],
-                    "self_s": row["self_s"],
-                }
-                for layer, row in sorted(self.layers().items())
-            },
-            "sites": self.sites(top),
-            "counters": dict(sorted(self.counters.items())),
+            "samples": total,
+            "interval_s": INTERVAL_S,
+            "self_s": execute_s if total else 0.0,
+            "layers": {k: row(n) for k, n in sorted(self.layers.items())},
+            "sites": [
+                {"site": site, **row(n)} for site, n in sites[:20]
+            ],
         }
         if engine is not None:
             out["engine"] = {
                 "events_processed": engine.events_processed,
                 "scheduled": engine._seq,
-                "pending": engine.pending,
-                "tombstones": engine.queued_tombstones,
                 "timer_allocs": engine._timer_allocs,
                 "freelist_reuse": engine._seq - engine._timer_allocs,
                 "compactions": engine._compactions,
             }
         return out
-
-
-#: Re-exported so instrumented loops avoid a module attribute load.
-perf_counter = time.perf_counter

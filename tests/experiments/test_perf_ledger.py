@@ -1,7 +1,7 @@
 """The campaign perf ledger and the perf-report / perf-compare views.
 
 One small profiled campaign per module; assertions cover the per-cell
-perf records (wall-clock breakdown + profiler digest), the consolidated
+perf records (wall-clock breakdown + stack-sample digest), the consolidated
 ``BENCH_campaign.json`` ledger, the report's execute/warm-restore
 split (``speedup`` vs ``parallelism``), and both CLI views.
 """
@@ -72,6 +72,14 @@ def test_every_executed_cell_gets_a_perf_record(profiled):
         assert digest["self_s"] > 0.0
         assert digest["layers"]
         assert digest["engine"]["events_processed"] > 0
+        # Layer rows split the execute wall-clock by sample share.
+        assert digest["self_s"] == pytest.approx(row["execute_s"])
+        assert sum(r["self_s"] for r in digest["layers"].values()) == (
+            pytest.approx(row["execute_s"])
+        )
+        assert sum(r["samples"] for r in digest["layers"].values()) == (
+            digest["samples"]
+        )
 
 
 def test_report_splits_execute_from_warm_restore(profiled):
@@ -116,7 +124,10 @@ def test_perf_report_prints_the_acceptance_surface(profiled):
     assert "self-time by layer" in text
     assert "per-cell wall-clock breakdown" in text
     assert "TCP-PRESS/link-down" in text
-    assert "fabric fastpath" in text
+    assert "sample coverage:" in text
+    assert any(
+        line.split()[:1] == ["sim.engine"] for line in text.splitlines()
+    ), "no sim.engine layer row"
 
 
 def test_perf_compare_of_a_store_with_itself_is_comparable(profiled):
@@ -167,7 +178,7 @@ def test_aggregate_perf_tolerates_partial_records():
     rows = [
         {},
         {"execute_s": 1.0},
-        {"profile": {"layers": {"net": {"events": 3, "self_s": 0.5}}}},
+        {"profile": {"layers": {"net": {"samples": 3, "self_s": 0.5}}}},
         {"profile": {"lp": {"shards": 2, "lp_events": [4, 6]}}},
         # A record from the removed logical-process engine: its "lp"
         # section is ignored, not rendered.
@@ -189,7 +200,7 @@ def test_aggregate_perf_tolerates_partial_records():
     agg = aggregate_perf(rows)
     assert agg["totals"]["cells"] == 5
     assert agg["totals"]["execute_s"] == 3.0
-    assert agg["layers"]["net"]["events"] == 3
+    assert agg["layers"]["net"]["samples"] == 3
     assert "lp" not in agg
     text = render_perf_report(rows)
     assert "profiled: 5 cell record(s), 10 events" in text
