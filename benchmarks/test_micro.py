@@ -277,20 +277,20 @@ def test_cluster_64node(benchmark):
 
 
 @pytest.mark.parametrize("mode", ["cold", "warm"])
-def test_campaign_warm_vs_cold(benchmark, mode):
+def test_campaign_warm_vs_cold(benchmark, mode, tmp_path):
     """One warm group (baseline + two faults), cold vs warm-started.
 
     The cold side re-simulates the shared 240-simulated-second
     pre-injection prefix in every cell; the warm side restores it from a
     checkpoint (simulated once, then amortized across rounds through the
-    in-process blob cache — the steady state of a multi-rep campaign).
+    checkpoint directory of a store the pair shares but never reads cells
+    from — the steady state of a multi-rep campaign).
     The pair is the gate for the warm-start speedup claim recorded in
     BENCH_micro.json.
     """
-    from repro.experiments import warmstart
     from repro.experiments.runner import run_campaign
     from repro.experiments.settings import Phase1Settings
-    from repro.experiments.store import MemoryStore
+    from repro.experiments.store import DiskStore
     from repro.faults.spec import FaultKind
     from repro.press.cluster import SMOKE_SCALE
 
@@ -309,13 +309,16 @@ def test_campaign_warm_vs_cold(benchmark, mode):
         replications=1,
     )
     faults = [FaultKind.LINK_DOWN, FaultKind.NODE_CRASH]
+    # use_cache=False: every round executes its cells, while the warm
+    # side's checkpoints persist in <tmp_path>/warmstart across rounds.
+    store = DiskStore(tmp_path)
 
     def run_group():
         _sets, report = run_campaign(
             settings,
             versions=["TCP-PRESS"],
             faults=faults,
-            store=MemoryStore(),
+            store=store,
             use_cache=False,
             warm_start=(mode == "warm"),
         )
@@ -323,6 +326,5 @@ def test_campaign_warm_vs_cold(benchmark, mode):
 
     if mode == "warm":
         # Pay the one-off checkpoint capture outside the timed rounds.
-        warmstart._memory_blobs.clear()
         run_group()
     assert benchmark(run_group) == 3

@@ -29,7 +29,6 @@ from ..core.extract import ExperimentRecord
 from ..faults.spec import FaultKind, FaultSpec
 from ..press.cluster import PressCluster
 from ..press.config import ALL_VERSIONS, ALL_VERSIONS_EXTENDED, PressConfig
-from ..sim import ids
 from ..sim.monitor import Timeline
 from .settings import (
     DEFAULT_SETTINGS,
@@ -99,12 +98,7 @@ def run_warm(
     continuations both pick up from exactly here.  ``spans`` (a
     :class:`~repro.obs.spans.SpanCollector`) attaches before the first
     event, so every request the run ever issues is trace-complete.
-
-    Global id counters rewind first, so the request/message/span ids a
-    run draws — and embeds in exported traces — depend on the run alone,
-    not on how many runs this process executed before it.
     """
-    ids.reset_global_ids()
     cluster = build_cluster(config, settings)
     if recorder is not None:
         recorder.attach(cluster.bus)

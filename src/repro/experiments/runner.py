@@ -58,7 +58,6 @@ from .warmstart import (
     STATUS_HIT,
     STATUS_INVALIDATED,
     STATUS_MISS,
-    WarmSpec,
     WarmStartCache,
 )
 
@@ -117,9 +116,10 @@ def _warm_cell(
     settings: Phase1Settings,
     seed: int,
     keep_events: bool,
-    warm: WarmSpec,
+    warm: str,
 ) -> dict:
-    """Warm-wave worker: make one warm group's checkpoint exist."""
+    """Warm-wave worker: make one warm group's checkpoint exist in the
+    checkpoint directory ``warm``."""
     cell_settings = dataclasses.replace(settings, seed=seed)
     return WarmStartCache(warm).ensure(version, cell_settings, keep_events)
 
@@ -128,13 +128,13 @@ def _start_cell(
     version: str,
     cell_settings: Phase1Settings,
     keep_events: bool,
-    warm: Optional[WarmSpec],
+    warm: Optional[str],
 ):
     """Warm (cluster, observatory, provenance) for one cell.
 
-    With a :class:`WarmSpec` the warm segment is restored from (or
-    captured into) the campaign's checkpoint cache; without one the cell
-    runs cold and the caller simulates the warm segment itself.
+    With a checkpoint directory ``warm`` the warm segment is restored
+    from (or captured into) the campaign's checkpoint cache; without one
+    the cell runs cold and the caller simulates the warm segment itself.
     """
     from ..obs.bus import EventRecorder
     from ..obs.observatory import Observatory
@@ -197,7 +197,7 @@ def _baseline_cell(
     seed: int,
     trace: Optional[tuple] = None,
     spans: Optional[tuple] = None,
-    warm: Optional[WarmSpec] = None,
+    warm: Optional[str] = None,
     profile: bool = False,
 ) -> dict:
     from ..obs.exporters import telemetry_summary
@@ -264,7 +264,7 @@ def _fault_cell(
     seed: int,
     trace: Optional[tuple] = None,
     spans: Optional[tuple] = None,
-    warm: Optional[WarmSpec] = None,
+    warm: Optional[str] = None,
     profile: bool = False,
 ) -> dict:
     from ..core.divergence import divergence_report
@@ -637,7 +637,7 @@ class CampaignRunner:
         self.profile = bool(profile)
         if self.profile:
             require_sampler()
-        #: run-scoped warm-checkpoint spool (in-memory parallel runs)
+        #: run-scoped warm-checkpoint directory (in-memory stores)
         self._spool = None
         self.warm_start = warm_start
         #: campaign-level observability (campaign.warm_start.* and
@@ -719,26 +719,13 @@ class CampaignRunner:
         report: CampaignReport,
     ) -> Dict[_Cell, dict]:
         """Run every missed cell, through the pool when one is available."""
-        results: Dict[_Cell, dict] = {}
-        pool = self._pool() if len(misses) > 1 else None
-        try:
-            if pool is None:
-                for cell, args in misses:
-                    worker = _baseline_cell if cell.fault is None else _fault_cell
-                    results[cell] = worker(*args)
-            else:
-                futures = {
-                    pool.submit(
-                        _baseline_cell if cell.fault is None else _fault_cell,
-                        *args,
-                    ): cell
-                    for cell, args in misses
-                }
-                for future, cell in futures.items():
-                    results[cell] = future.result()
-        finally:
-            if pool is not None:
-                pool.shutdown()
+        payloads = self._map(
+            [
+                (_baseline_cell if cell.fault is None else _fault_cell, *args)
+                for cell, args in misses
+            ]
+        )
+        results = dict(zip([cell for cell, _args in misses], payloads))
         for cell, payload in results.items():
             # The flight-recorder record travels back on the payload but
             # never *in* it: it is volatile wall-clock, so it is stripped
@@ -763,15 +750,14 @@ class CampaignRunner:
         return results
 
     # -- warm-start ----------------------------------------------------
-    def _warm_for(self, misses):
-        """Pick where one wave's misses keep warm checkpoints.
+    def _warm_for(self, misses) -> Optional[str]:
+        """Pick the directory where one wave's misses keep warm checkpoints.
 
         Disk-backed stores persist checkpoints next to their cells
-        (surviving restarts like the cells do); in-memory parallel
-        campaigns spool through a run-scoped temp dir — created lazily
-        on the first wave that needs one and shared by later waves —
-        since a per-process memory cache is invisible to pool workers;
-        serial in-memory campaigns just use the process-local cache.
+        (surviving restarts like the cells do); in-memory campaigns
+        spool through a run-scoped temp dir, created lazily on the first
+        wave that needs one, shared by later waves, and removed when the
+        campaign ends.
         """
         if not self.warm_start or not misses:
             return None
@@ -781,16 +767,12 @@ class CampaignRunner:
             # the trace-completeness invariant the validator enforces.
             return None
         if isinstance(self.store, DiskStore):
-            return WarmSpec(dir=str(self.store.cache_dir / "warmstart"))
-        if self.jobs > 1 and len(misses) > 1:
-            if self._spool is None:
-                self._spool = tempfile.TemporaryDirectory(
-                    prefix="repro-warmstart-"
-                )
-            return WarmSpec(dir=self._spool.name)
-        return WarmSpec(dir=None)
+            return str(self.store.cache_dir / "warmstart")
+        if self._spool is None:
+            self._spool = tempfile.TemporaryDirectory(prefix="repro-warmstart-")
+        return self._spool.name
 
-    def _warm_wave(self, misses, spec: WarmSpec) -> None:
+    def _warm_wave(self, misses, warm: str) -> None:
         """Checkpoint every warm group exactly once, before the cells.
 
         This is what turns the campaign's warm-up cost from O(cells)
@@ -800,25 +782,12 @@ class CampaignRunner:
         """
         keep = self.trace_dir is not None
         groups = sorted({(cell.version, cell.seed) for cell, _ in misses})
-        results: List[dict] = []
-        pool = self._pool() if len(groups) > 1 else None
-        try:
-            if pool is None:
-                for version, seed in groups:
-                    results.append(
-                        _warm_cell(version, self.settings, seed, keep, spec)
-                    )
-            else:
-                futures = [
-                    pool.submit(
-                        _warm_cell, version, self.settings, seed, keep, spec
-                    )
-                    for version, seed in groups
-                ]
-                results = [f.result() for f in futures]
-        finally:
-            if pool is not None:
-                pool.shutdown()
+        results = self._map(
+            [
+                (_warm_cell, version, self.settings, seed, keep, warm)
+                for version, seed in groups
+            ]
+        )
         for prov in results:
             # A warm-wave "hit" found a checkpoint from an earlier
             # campaign: nothing simulated, nothing restored — only the
@@ -850,26 +819,44 @@ class CampaignRunner:
         notice += " — see PERFORMANCE.md"
         report.notices.append(notice)
 
-    def _pool(self):
-        """A process pool, or ``None`` to fall back to inline execution."""
-        if self.jobs <= 1:
-            return None
-        try:
-            import multiprocessing
-            from concurrent.futures import ProcessPoolExecutor
+    def _map(self, calls: List[tuple]) -> List[dict]:
+        """``fn(*args)`` for every ``(fn, *args)`` in ``calls``, in order.
 
-            methods = multiprocessing.get_all_start_methods()
-            method = "fork" if "fork" in methods else "spawn"
-            return ProcessPoolExecutor(
-                max_workers=self.jobs,
-                mp_context=multiprocessing.get_context(method),
-            )
-        except (ImportError, NotImplementedError, OSError, ValueError):
-            return None
+        With ``jobs > 1`` and more than one call the calls fan out to a
+        process pool.  The pool starts its workers at the first submit,
+        not in its constructor, so both sit inside the fallback: on a
+        host that cannot start worker processes the calls run inline,
+        with the same results.
+        """
+        if self.jobs > 1 and len(calls) > 1:
+            pool = None
+            try:
+                import multiprocessing
+                from concurrent.futures import ProcessPoolExecutor
+
+                methods = multiprocessing.get_all_start_methods()
+                method = "fork" if "fork" in methods else "spawn"
+                pool = ProcessPoolExecutor(
+                    max_workers=self.jobs,
+                    mp_context=multiprocessing.get_context(method),
+                )
+                futures = [pool.submit(*call) for call in calls]
+            except (ImportError, NotImplementedError, OSError, ValueError):
+                if pool is not None:
+                    # Workers that did start would wait for work forever.
+                    for process in (pool._processes or {}).values():
+                        process.terminate()
+                    pool.shutdown(wait=False, cancel_futures=True)
+            else:
+                try:
+                    return [future.result() for future in futures]
+                finally:
+                    pool.shutdown()
+        return [fn(*args) for fn, *args in calls]
 
     # -- adaptive scheduling -------------------------------------------
     def _cell_args(self, cell: _Cell) -> tuple:
-        """Worker arguments for one cell (warm spec appended later)."""
+        """Worker arguments for one cell (warm directory appended later)."""
         if cell.fault is None:
             return (
                 cell.version,
@@ -920,12 +907,12 @@ class CampaignRunner:
             else:
                 misses.append((cell, self._cell_args(cell)))
         if misses:
-            warm_spec = self._warm_for(misses)
-            if warm_spec is not None:
-                self._warm_wave(misses, warm_spec)
+            warm = self._warm_for(misses)
+            if warm is not None:
+                self._warm_wave(misses, warm)
             executed = self._execute_wave(
                 [
-                    (cell, args + (warm_spec, self.profile))
+                    (cell, args + (warm, self.profile))
                     for cell, args in misses
                 ],
                 report,

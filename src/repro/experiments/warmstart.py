@@ -12,13 +12,15 @@ O(cells) to O(warm groups).
 
 Storage
 -------
-Checkpoints live as ``<digest>.ckpt`` files under a ``warmstart/``
-directory — placed next to the campaign's
+Checkpoints live as ``<digest>.ckpt`` files in a directory: the
+``warmstart/`` directory next to the campaign's
 :class:`~repro.experiments.store.DiskStore` cells when there is a cache
-dir, or in a run-scoped spool directory (parallel runs), or in a
-per-process memory dict (serial in-memory runs).  The digest is a
-content address over ``(version, settings.sim_key(), keep_events)``;
-anything that could change the warm trajectory changes the file name.
+dir, otherwise a run-scoped spool directory that the runner removes when
+the campaign ends.  The digest is a content address over
+``(version, settings.sim_key(), keep_events)``; anything that could
+change the warm trajectory changes the file name.  A checkpoint is the
+``(cluster, observatory)`` pair alone: every id stream the continuation
+draws from lives on the cluster's engine, so it travels inside.
 
 Each file opens with a one-line ASCII header naming the snapshot format
 and the Python/marshal versions that produced the blob.  The header is
@@ -47,12 +49,10 @@ import os
 import sys
 import tempfile
 import time
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 from ..sim import snapshot
-from ..sim.ids import global_id_state, restore_global_id_state
 from .settings import Phase1Settings
 
 #: Statuses a checkpoint lookup can report (cell payload provenance).
@@ -91,54 +91,32 @@ def warm_digest(version: str, settings: Phase1Settings, keep_events: bool) -> st
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-@dataclass(frozen=True)
-class WarmSpec:
-    """Picklable description of where a campaign keeps its checkpoints.
+class WarmStartCache:
+    """Checkpoint directory + simulate-on-miss logic for one campaign.
 
-    Travels to worker processes as a plain cell argument.  ``dir=None``
-    selects the per-process in-memory cache — only useful when the
-    cells run in this process (serial campaigns without a cache dir).
+    ``directory`` is a path string, so it travels to worker processes as
+    a plain cell argument.
     """
 
-    dir: Optional[str] = None
-
-
-#: Per-process memory cache for ``WarmSpec(dir=None)`` campaigns.
-_memory_blobs: Dict[str, bytes] = {}
-
-
-class WarmStartCache:
-    """Checkpoint store + simulate-on-miss logic for one campaign."""
-
-    def __init__(self, spec: WarmSpec):
-        self.spec = spec
-        self.dir = Path(spec.dir) if spec.dir is not None else None
+    def __init__(self, directory: str):
+        self.dir = Path(directory)
 
     # -- blob I/O ------------------------------------------------------
     def _path(self, digest: str) -> Path:
-        assert self.dir is not None
         return self.dir / f"{digest}.ckpt"
 
     def _load(self, digest: str) -> Tuple[Optional[bytes], str]:
         """Return ``(blob, status)``; blob is None on miss/invalidation."""
-        if self.dir is None:
-            blob = _memory_blobs.get(digest)
-            return blob, STATUS_HIT if blob is not None else STATUS_MISS
         try:
             with open(self._path(digest), "rb") as fh:
                 header = fh.readline()
                 if header != _header():
                     return None, STATUS_INVALIDATED
                 return fh.read(), STATUS_HIT
-        except FileNotFoundError:
-            return None, STATUS_MISS
         except OSError:
             return None, STATUS_MISS
 
     def _store(self, digest: str, blob: bytes) -> None:
-        if self.dir is None:
-            _memory_blobs[digest] = blob
-            return
         self.dir.mkdir(parents=True, exist_ok=True)
         path = self._path(digest)
         # Atomic publish, like the result store: concurrent workers may
@@ -197,14 +175,7 @@ class WarmStartCache:
             blob = self._capture(version, settings, keep_events)
             self._store(digest, blob)
             capture_s = time.perf_counter() - start
-        cluster, obs, id_state = snapshot.restore(blob)
-        # Continue process-global id streams (request ids, message ids,
-        # connection generations) exactly where the captured run stood.
-        # Without this, ids issued by the *restoring* process can collide
-        # with ids still live in the restored state (pending client
-        # requests, unacked messages) and the continuation diverges from
-        # cold — the pool-worker bug of ROADMAP item 3.
-        restore_global_id_state(id_state)
+        cluster, obs = snapshot.restore(blob)
         provenance = {
             "status": status,  # hit, miss, or invalidated at lookup time
             "digest": digest[:16],
@@ -221,7 +192,7 @@ class WarmStartCache:
         self, version: str, settings: Phase1Settings, keep_events: bool
     ) -> bytes:
         cluster, obs = _simulate_warm(version, settings, keep_events)
-        return snapshot.capture((cluster, obs, global_id_state()))
+        return snapshot.capture((cluster, obs))
 
 
 def _simulate_warm(version: str, settings: Phase1Settings, keep_events: bool):

@@ -45,7 +45,6 @@ observable.
 
 from __future__ import annotations
 
-import itertools
 from typing import Dict, List, Optional
 
 from ..obs.events import NET_FRAME_DROP
@@ -104,7 +103,7 @@ class Fabric:
         self.nics: Dict[str, Nic] = {}
         self.links: Dict[str, Link] = {}
         self.fastpath = fastpath
-        self._frame_ids = itertools.count(1)
+        self._frame_id = 0  # last frame id handed out
         self._submit_seq = 0
         self._flights: Dict[_FastFlight, None] = {}  # insertion-ordered set
         # Eligibility cache: (src, dst) -> (epoch, src_link, dst_link).
@@ -254,7 +253,7 @@ class Fabric:
         if cached is not None and cached[0] == self._topo_epoch:
             # A clean path implies reachability, so the SAN pre-check
             # below cannot fire — skip straight to the fast submit.
-            frame.frame_id = next(self._frame_ids)
+            self._frame_id = frame.frame_id = self._frame_id + 1
             spans = self.engine.spans
             if spans is not None and frame.trace_id:
                 self._span_open(spans, frame)
@@ -266,7 +265,7 @@ class Fabric:
 
         if self.nics.get(frame.dst) is None:
             raise KeyError(f"unknown destination {frame.dst!r}")
-        frame.frame_id = next(self._frame_ids)
+        self._frame_id = frame.frame_id = self._frame_id + 1
         spans = self.engine.spans
         if spans is not None and frame.trace_id:
             self._span_open(spans, frame)
@@ -325,18 +324,20 @@ class Fabric:
         # path state cannot change mid-train either.
         src_link = cached[1]
         dst_link = cached[2]
-        frame_ids = self._frame_ids
         fast_submit = self._fast_submit
         spans = self.engine.spans
         seq = self._submit_seq
+        frame_id = self._frame_id
         for frame in frames:
-            frame.frame_id = next(frame_ids)
+            frame_id += 1
+            frame.frame_id = frame_id
             if spans is not None and frame.trace_id:
                 self._span_open(spans, frame)
             seq += 1
             fast_submit(frame, frame.size + WIRE_OVERHEAD_BYTES, seq,
                         src_link, dst_link)
         self._submit_seq = seq
+        self._frame_id = frame_id
         return len(frames)
 
     # -- fast path ---------------------------------------------------------
@@ -662,6 +663,7 @@ class Fabric:
         deliberately absent: it is a pure memo over state counted here.
         """
         return {
+            "frame_id": self._frame_id,
             "submit_seq": self._submit_seq,
             "topo_epoch": self._topo_epoch,
             "flights": len(self._flights),

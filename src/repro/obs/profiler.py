@@ -65,14 +65,11 @@ def layer_of(module: str) -> str:
     return ".".join(parts[1:3]) if parts[1] == "sim" else parts[1]
 
 
-#: code object -> qualified name, for Pythons without ``co_qualname``.
-_QUALNAMES: Dict[CodeType, str] = {}
-
-
-def _index_functions() -> None:
+def _index_functions() -> Dict[CodeType, str]:
     """Name the code of every live function, and the code nested in it,
     the way the compiler builds ``__qualname__``.  A wrapper that
     ``functools.wraps`` renamed is named from its enclosing function."""
+    names: Dict[CodeType, str] = {}
     todo = [
         (f.__code__, f.__qualname__)
         for f in gc.get_objects()
@@ -81,24 +78,25 @@ def _index_functions() -> None:
     ]
     while todo:
         outer, name = todo.pop()
-        _QUALNAMES[outer] = name
+        names[outer] = name
         sep = ".<locals>." if outer.co_flags & inspect.CO_NEWLOCALS else "."
         todo += [
             (c, name + sep + c.co_name)
             for c in outer.co_consts
             if isinstance(c, CodeType)
         ]
+    return names
 
 
-def qualname(code: CodeType) -> str:
+def qualname(code: CodeType, names: Dict[CodeType, str]) -> str:
     """``code``'s qualified name on every supported Python (3.11 added
-    ``co_qualname``; before, it is recovered from the live functions)."""
+    ``co_qualname``; before, it is looked up in ``names``, which is
+    filled from the live functions on first need)."""
     if hasattr(code, "co_qualname"):
         return code.co_qualname
-    if code not in _QUALNAMES:
-        _index_functions()
-        _QUALNAMES.setdefault(code, f"{code.co_name}@{code.co_firstlineno}")
-    return _QUALNAMES[code]
+    if not names:
+        names.update(_index_functions())
+    return names.get(code, f"{code.co_name}@{code.co_firstlineno}")
 
 
 class StackSampler:
@@ -142,7 +140,10 @@ class StackSampler:
     @property
     def sites(self) -> Dict[str, int]:
         """``module.qualname`` -> samples"""
-        return self._tally(lambda module, code: f"{module}.{qualname(code)}")
+        names: Dict[CodeType, str] = {}
+        return self._tally(
+            lambda module, code: f"{module}.{qualname(code, names)}"
+        )
 
     def __enter__(self) -> "StackSampler":
         self._previous = signal.signal(signal.SIGPROF, self._handler)

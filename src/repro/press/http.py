@@ -24,9 +24,6 @@ from ..net.nic import Nic
 from ..net.packet import Frame
 from ..osim.node import Node
 from ..sim.engine import Engine
-from ..sim.ids import IdSource
-
-_req_ids = IdSource("press.http.req_ids")
 
 #: Bytes of an HTTP GET on the wire (request line + headers).
 HTTP_REQUEST_BYTES = 300
@@ -44,8 +41,10 @@ class HttpRequest:
     sent_at: float
 
     @staticmethod
-    def fresh(client_id: str, file_id: str, now: float) -> "HttpRequest":
-        return HttpRequest(client_id, next(_req_ids), file_id, now)
+    def fresh(engine: Engine, client_id: str, file_id: str) -> "HttpRequest":
+        """A request sent now, numbered from ``engine``'s request ids."""
+        req_id = engine.new_id("req")
+        return HttpRequest(client_id, req_id, file_id, engine.now)
 
 
 class HttpPort:

@@ -187,6 +187,13 @@ class Engine:
         # actually allocated (vs recycled) and tombstone compactions.
         self._timer_allocs: int = 0
         self._compactions: int = 0
+        # Id streams (request ids, message ids, connection generations),
+        # kind -> last id handed out.  They are simulation state: a
+        # checkpoint holds ids live in its state (pending requests,
+        # unacked messages), so fresh ids must continue from the
+        # checkpoint's positions in whichever process restores it, or
+        # they collide.  A new engine starts every stream at 1.
+        self._ids: dict = {}
         # Observability attach points (see repro.obs).  Components guard
         # hot paths with ``if engine.bus is not None`` so an unobserved
         # run pays one attribute load per would-be event.
@@ -294,6 +301,15 @@ class Engine:
         ev = Event(self)
         self.call_after(delay, ev.succeed, value)
         return ev
+
+    # ------------------------------------------------------------------
+    # Id streams
+    # ------------------------------------------------------------------
+    def new_id(self, kind: str) -> int:
+        """Next id of the ``kind`` stream: 1, 2, 3, ... per engine."""
+        ids = self._ids
+        ids[kind] = value = ids.get(kind, 0) + 1
+        return value
 
     # ------------------------------------------------------------------
     # Tombstone bookkeeping
@@ -463,6 +479,7 @@ class Engine:
             "seq": self._seq,
             "events_processed": self._events_processed,
             "pending": self._live,
+            "ids": dict(sorted(self._ids.items())),
         }
 
     # ------------------------------------------------------------------

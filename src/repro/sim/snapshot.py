@@ -93,7 +93,13 @@ from .engine import SimulationError
 #:     longer carries an LP-affinity slot.  In-flight fast-path frames
 #:     carry a ``hops`` slot (counters applied by
 #:     ``Fabric.settle_counters``).
-FORMAT_VERSION = 6
+#:
+#: v7: id streams (request ids, message ids, TCP/VIA connection
+#:     generations) live on the engine (``Engine._ids``), so a warm
+#:     checkpoint is the bare (cluster, observatory) pair with no
+#:     id-counter positions beside it; the fabric's frame-id counter is
+#:     a plain int (pickling itertools objects ends with Python 3.14).
+FORMAT_VERSION = 7
 
 #: Protocol 4 is the newest protocol supported by every interpreter in
 #: the CI matrix; the digest pins the writer's Python anyway, this just

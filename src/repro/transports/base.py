@@ -27,13 +27,10 @@ mechanism.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional
 
 from ..sim.engine import Engine, Event
-from ..sim.ids import IdSource
-
-_message_ids = IdSource("transports.message_ids")
 
 
 class CommError(Exception):
@@ -71,7 +68,9 @@ class Message:
     ``trace_id`` names the client request this message works for
     (0 = none) — the PRESS server stamps it on forwards, file-data
     replies, and the cache-update broadcasts a traced request tipped,
-    so transport spans land in the right request tree.
+    so transport spans land in the right request tree.  ``msg_id``
+    keys the message's span: the transport stamps it from its engine's
+    ``"msg"`` id stream when it opens one (0 = never traced).
     """
 
     msg_type: str
@@ -79,7 +78,7 @@ class Message:
     payload: Any = None
     corruption: CorruptionKind = CorruptionKind.NONE
     skew: int = 0  # byte skew for OFF_BY_N_SIZE faults
-    msg_id: int = field(default_factory=lambda: next(_message_ids))
+    msg_id: int = 0
     trace_id: int = 0
 
     def __post_init__(self) -> None:
@@ -200,10 +199,8 @@ class Transport:
     def snapshot_state(self) -> dict:
         """Deterministic-state digest input (see Snapshottable).
 
-        Message ids are deliberately absent: they come from a module
-        counter whose absolute position is process-local and
-        unobservable (serial/parallel campaign parity already relies on
-        that), so folding them in would poison warm/cold comparisons.
+        Message ids are absent here: they are drawn from the engine's
+        id streams, which the engine's own digest covers.
         """
         return {
             "node": self.node_id,

@@ -1,6 +1,6 @@
 """Simulated kernel TCP: byte streams, retransmission, skbuf dependence."""
 
-from .connection import StreamRecord, TcpEndpoint, next_generation
+from .connection import StreamRecord, TcpEndpoint
 from .params import DEFAULT_TCP_PARAMS, TcpParams
 from .transport import TcpTransport
 
@@ -10,5 +10,4 @@ __all__ = [
     "TcpParams",
     "DEFAULT_TCP_PARAMS",
     "StreamRecord",
-    "next_generation",
 ]

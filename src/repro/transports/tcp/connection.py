@@ -27,7 +27,6 @@ from ...net.packet import Frame
 from ...obs.events import TCP_RETRANSMIT
 from ...obs.metrics import bound_counter
 from ...sim.engine import Engine, Event, Timer
-from ...sim.ids import IdSource
 from ..base import (
     Channel,
     CorruptionKind,
@@ -37,14 +36,6 @@ from ..base import (
     SyncParameterError,
 )
 from .params import TcpParams
-
-_conn_gens = IdSource("transports.tcp.conn_gens")
-
-
-def next_generation() -> int:
-    """A cluster-unique connection generation (ISN analogue)."""
-    return next(_conn_gens)
-
 
 @dataclass(slots=True)
 class SegPayload:
@@ -181,6 +172,7 @@ class TcpEndpoint(Channel):
         if spans is not None and msg.trace_id:
             # Open to close at the receiver's delivery (_deliver_up);
             # retransmission rewinds bump a counter on the open span.
+            msg.msg_id = self.engine.new_id("msg")
             spans.start(
                 msg.trace_id,
                 "tcp.msg",

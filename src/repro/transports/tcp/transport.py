@@ -33,7 +33,6 @@ from .connection import (
     SegPayload,
     StreamRecord,
     TcpEndpoint,
-    next_generation,
 )
 from .params import DEFAULT_TCP_PARAMS, TcpParams
 
@@ -115,7 +114,10 @@ class TcpTransport(Transport):
             if on_result is not None:
                 self.engine.call_soon(on_result, True)
             return existing
-        ep = TcpEndpoint(self, peer, next_generation(), self.params)
+        # The generation is the connection's ISN analogue: unique within
+        # the cluster, drawn from the engine's id streams.
+        gen = self.engine.new_id("tcp.gen")
+        ep = TcpEndpoint(self, peer, gen, self.params)
         ep.connect_cb = on_result
         self.endpoints[peer] = ep
         self._syn_attempt(ep, 0)

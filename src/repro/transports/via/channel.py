@@ -103,6 +103,7 @@ class ViaChannel(Channel):
         if spans is not None and msg.trace_id:
             # Open to close at the receiver's delivery (_deliver_up) or
             # right below if the queue sheds it.
+            msg.msg_id = self.engine.new_id("msg")
             spans.start(
                 msg.trace_id,
                 "via.msg",

@@ -26,7 +26,6 @@ from ...obs.events import VIA_CHANNEL_BROKEN, VIA_DESCRIPTOR_ERROR
 from ...obs.metrics import bound_counter
 from ...osim.node import Node
 from ...sim.engine import Engine
-from ...sim.ids import IdSource
 from ..base import (
     CorruptionKind,
     FatalTransportError,
@@ -38,12 +37,6 @@ from .channel import ViaChannel
 from .params import DEFAULT_VIA_PARAMS, ViaParams
 
 _NOTIFY_COST = 3e-6
-
-_gen_counter = IdSource("transports.via.gen_counter")
-
-
-def _next_gen() -> int:
-    return next(_gen_counter)
 
 
 class ViaRegistrationError(Exception):
@@ -121,13 +114,15 @@ class ViaTransport(Transport):
             if on_result is not None:
                 self.engine.call_soon(on_result, True)
             return existing
+        # Channel generations are unique within the cluster.
+        gen = self.engine.new_id("via.gen")
         try:
-            channel = self._make_channel(peer, _next_gen())
+            channel = self._make_channel(peer, gen)
         except ViaRegistrationError:
             # Out of pinnable memory (e.g. a pin fault is active while a
             # restarted node tries to rebuild its VIs): VipCreateVi fails
             # and the connection attempt is reported as unsuccessful.
-            failed = ViaChannel(self, peer, _next_gen(), self.params)
+            failed = ViaChannel(self, peer, gen, self.params)
             failed.mark_broken("registration-failed")
             if on_result is not None:
                 self.engine.call_soon(on_result, False)

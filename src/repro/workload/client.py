@@ -102,7 +102,7 @@ class ClientMachine:
         target = self.server_ids[self._rr % len(self.server_ids)]
         self._rr += 1
         file_id = self.fileset.sample(self.rng)
-        req = self._HttpRequest.fresh(self.client_id, file_id, self.engine.now)
+        req = self._HttpRequest.fresh(self.engine, self.client_id, file_id)
         timer = self.engine.call_after(
             self.request_timeout, self._on_timeout, req.req_id
         )

@@ -157,7 +157,9 @@ class TraceReplayer:
         entry = self.entries[index]
         target = self.server_ids[self._rr % len(self.server_ids)]
         self._rr += 1
-        req = self._HttpRequest.fresh(self.client_id, entry.file_id, self.engine.now)
+        req = self._HttpRequest.fresh(
+            self.engine, self.client_id, entry.file_id
+        )
         timer = self.engine.call_after(
             self.request_timeout, self._on_timeout, req.req_id
         )

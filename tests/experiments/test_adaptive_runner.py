@@ -127,11 +127,10 @@ POLICIES = [
 )
 def test_serial_parallel_warmstart_agree(policy):
     # TINY's warm boundary (warm + fault_at = 15s) deliberately lands
-    # inside the observatory's 20s SLO calibration window.  Restoring a
-    # checkpoint used to diverge when the restoring process's global id
-    # counters (request/message ids) collided with ids still live in the
-    # restored state — the position-dependent pool-worker bug fixed by
-    # snapshotting `repro.sim.ids` state in the warm blob.
+    # inside the observatory's 20s SLO calibration window, and requests
+    # and messages are in flight there: a restore in a pool worker must
+    # continue every id stream from the checkpoint, or fresh ids collide
+    # with ids still live in the restored state.
     settings = dataclasses.replace(TINY, replications=2, repetition=policy)
     results = []
     for kwargs in (

@@ -13,7 +13,7 @@ import pytest
 
 from repro.experiments.runner import CampaignRunner, run_campaign
 from repro.experiments.settings import Phase1Settings
-from repro.experiments.store import DiskStore, MemoryStore
+from repro.experiments.store import DiskStore, MemoryStore, payload_fingerprint
 from repro.faults.spec import FaultKind
 from repro.press.cluster import SMOKE_SCALE
 
@@ -70,6 +70,44 @@ class TestDeterminism:
         )
         assert sets["TCP-PRESS"].isclose(par["TCP-PRESS"], rel_tol=1e-9)
         assert par["TCP-PRESS"].to_dict() == sets["TCP-PRESS"].to_dict()
+
+    @pytest.mark.parametrize("forks_before_failure", [0, 1])
+    def test_pool_that_cannot_fork_runs_the_cells_inline(
+        self, monkeypatch, tmp_path, forks_before_failure
+    ):
+        """The pool forks its workers at the first submit, not in its
+        constructor: a host that cannot fork still finishes the
+        campaign, inline, with a serial run's payloads, and a worker
+        forked before the failure does not outlive it."""
+        import multiprocessing
+        import os
+
+        def fingerprints(store):
+            return {
+                (k["version"], k["fault"], k["seed"]): payload_fingerprint(p)
+                for k, p in store.iter_cells()
+            }
+
+        reference = DiskStore(tmp_path / "serial")
+        _run(jobs=1, store=reference)
+
+        real_fork = os.fork
+        forks = []
+
+        def fork():
+            if len(forks) == forks_before_failure:
+                raise BlockingIOError(11, "Resource temporarily unavailable")
+            forks.append(None)
+            return real_fork()
+
+        monkeypatch.setattr(os, "fork", fork)
+        store = DiskStore(tmp_path / "no-fork")
+        _, report = _run(jobs=2, store=store)
+        assert report.executed == len(report.cells) == 6
+        assert fingerprints(store) == fingerprints(reference)
+        for child in multiprocessing.active_children():
+            child.join(timeout=10)
+        assert not multiprocessing.active_children()
 
     def test_store_round_trip_equals_serial(self, serial, tmp_path):
         """serialize -> load -> compare: the full persistence cycle."""

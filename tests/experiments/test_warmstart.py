@@ -12,9 +12,12 @@ matches the interpreter.
 
 from __future__ import annotations
 
+import dataclasses
+import pickletools
+from pathlib import Path
+
 import pytest
 
-from repro.experiments import warmstart
 from repro.experiments.runner import CampaignRunner, run_campaign
 from repro.experiments.settings import Phase1Settings
 from repro.experiments.store import (
@@ -27,7 +30,6 @@ from repro.experiments.warmstart import (
     STATUS_HIT,
     STATUS_INVALIDATED,
     STATUS_MISS,
-    WarmSpec,
     WarmStartCache,
     warm_digest,
 )
@@ -49,14 +51,6 @@ VERSIONS = ["TCP-PRESS", "VIA-PRESS-5"]
 FAULTS = [FaultKind.LINK_DOWN, FaultKind.NODE_CRASH]
 N_GROUPS = len(VERSIONS) * SETTINGS.replications
 N_CELLS = N_GROUPS * (1 + len(FAULTS))
-
-
-@pytest.fixture(autouse=True)
-def _fresh_memory_checkpoints():
-    """Isolate the per-process in-memory checkpoint cache per test."""
-    warmstart._memory_blobs.clear()
-    yield
-    warmstart._memory_blobs.clear()
 
 
 class SpyStore(MemoryStore):
@@ -120,8 +114,17 @@ def test_warm_disk_campaign_matches_cold_byte_for_byte(
     )
 
 
-def test_warm_memory_campaign_matches_cold(cold_reference):
-    """The serial in-memory path (WarmSpec(dir=None)) agrees too."""
+def test_warm_memory_campaign_matches_cold(cold_reference, monkeypatch):
+    """The serial in-memory path agrees too: it keeps its checkpoints in
+    a run-scoped spool directory, removed when the campaign ends."""
+    spools = []
+    real = CampaignRunner._warm_for
+
+    def spy(self, misses):
+        spools.append(real(self, misses))
+        return spools[-1]
+
+    monkeypatch.setattr(CampaignRunner, "_warm_for", spy)
     store = SpyStore()
     _sets, report = _run(store)
     got = {
@@ -129,7 +132,8 @@ def test_warm_memory_campaign_matches_cold(cold_reference):
     }
     assert got == cold_reference[0]
     assert report.warm_start == {"hit": N_CELLS, "miss": N_GROUPS}
-    assert len(warmstart._memory_blobs) == N_GROUPS
+    assert len(set(spools)) == 1 and spools[0] is not None
+    assert not Path(spools[0]).exists()
 
 
 def test_traced_campaigns_export_identical_traces(cold_reference, tmp_path):
@@ -230,7 +234,7 @@ def test_runner_metrics_counters_mirror_the_report(tmp_path):
 
 
 def test_obtain_always_returns_fresh_objects(tmp_path):
-    cache = WarmStartCache(WarmSpec(dir=str(tmp_path)))
+    cache = WarmStartCache(str(tmp_path))
     c1, o1, p1 = cache.obtain("TCP-PRESS", SETTINGS, False)
     c2, o2, p2 = cache.obtain("TCP-PRESS", SETTINGS, False)
     assert p1["status"] == STATUS_MISS
@@ -240,33 +244,62 @@ def test_obtain_always_returns_fresh_objects(tmp_path):
     assert snapshot.state_digest(c1) == snapshot.state_digest(c2)
 
 
-def test_obtain_restores_global_id_counters(tmp_path):
-    """Checkpoints carry the global id-counter positions (repro.sim.ids).
+def test_restore_in_a_used_process_matches_cold(tmp_path):
+    """A checkpoint restored in a process that has since built and run
+    other clusters continues exactly like a cold run.
 
-    Regression for the pool-worker divergence of ROADMAP item 3: a
-    process restoring a warm checkpoint used to keep issuing request /
-    message ids from wherever *its own* counters happened to sit.  When
-    that position landed just below the captured in-flight id window,
-    fresh ids collided with ids still pending in the restored state and
-    the continuation diverged from cold.  ``obtain`` must therefore
-    reposition every counter to the captured value, no matter where the
-    restoring process left them.
+    Every id the continuation draws (request ids, message ids,
+    connection generations) comes from the restored engine, so the
+    restoring process's history cannot leak in: fresh ids never collide
+    with ids still live in the restored state (pending client requests,
+    unacked messages), which once made pool workers diverge.
     """
-    from repro.sim import ids
+    from repro.experiments.phase1 import run_baseline, run_warm
+    from repro.experiments.runner import _baseline_cell
+    from repro.experiments.warmstart import _simulate_warm
+    from repro.press.config import ALL_VERSIONS_EXTENDED
 
-    cache = WarmStartCache(WarmSpec(dir=str(tmp_path)))
-    c1, o1, _ = cache.obtain("TCP-PRESS", SETTINGS, False)
-    captured = ids.global_id_state()
-    # Park every counter in the collision zone a dirty pool worker would
-    # occupy: just below the ids embedded in the checkpointed state.
-    for name, value in captured.items():
-        ids._sources[name].jump(max(1, value - 1))
-    c2, o2, _ = cache.obtain("TCP-PRESS", SETTINGS, False)
-    assert ids.global_id_state() == captured
-    assert snapshot.state_digest(c1) == snapshot.state_digest(c2)
+    version = "TCP-PRESS"
+    cold_cluster, cold_obs = _simulate_warm(version, SETTINGS, False)
+    cold = _baseline_cell(version, SETTINGS, SETTINGS.seed)
+    cache = WarmStartCache(str(tmp_path))
+    cache.ensure(version, SETTINGS, False)
+    # Build and run other clusters: another version, another seed.
+    other = dataclasses.replace(SETTINGS, seed=SETTINGS.seed + 1)
+    run_baseline(ALL_VERSIONS_EXTENDED["VIA-PRESS-5"], other)
+    run_warm(ALL_VERSIONS_EXTENDED[version], other)
+
+    cluster, obs, prov = cache.obtain(version, SETTINGS, False)
+    assert prov["status"] == STATUS_HIT
+    # The engine digest covers its id streams.
+    assert snapshot.state_digest(cluster) == snapshot.state_digest(
+        cold_cluster
+    )
     # The observatory is Snapshottable too: calibration state captured
     # mid-window survives the round trip bit for bit.
-    assert snapshot.state_digest(o1) == snapshot.state_digest(o2)
+    assert snapshot.state_digest(obs) == snapshot.state_digest(cold_obs)
+    warm = _baseline_cell(version, SETTINGS, SETTINGS.seed, warm=str(tmp_path))
+    assert warm["warm_start"]["status"] == STATUS_HIT
+    assert payload_fingerprint(warm) == payload_fingerprint(cold)
+
+
+def test_checkpoints_hold_no_itertools_objects(tmp_path):
+    """Python 3.14 drops pickle support for itertools objects, so a
+    checkpoint that names one could not be written there."""
+    cache = WarmStartCache(str(tmp_path))
+    for version in VERSIONS:
+        cache.ensure(version, SETTINGS, False)
+    paths = sorted(tmp_path.glob("*.ckpt"))
+    assert len(paths) == len(VERSIONS)
+    for path in paths:
+        _header, _, blob = path.read_bytes().partition(b"\n")
+        strings = [
+            arg
+            for _op, arg, _pos in pickletools.genops(blob)
+            if isinstance(arg, str)
+        ]
+        assert strings, path
+        assert not any("itertools" in arg for arg in strings), path
 
 
 def test_warm_digest_covers_the_inputs():
@@ -274,8 +307,6 @@ def test_warm_digest_covers_the_inputs():
     assert base == warm_digest("TCP-PRESS", SETTINGS, False)
     assert base != warm_digest("VIA-PRESS-5", SETTINGS, False)
     assert base != warm_digest("TCP-PRESS", SETTINGS, True)
-    import dataclasses
-
     reseeded = dataclasses.replace(SETTINGS, seed=6)
     assert base != warm_digest("TCP-PRESS", reseeded, False)
     relaid = dataclasses.replace(SETTINGS, fault_at=31.0)
@@ -283,7 +314,7 @@ def test_warm_digest_covers_the_inputs():
 
 
 def test_header_mismatch_reports_invalidated_not_miss(tmp_path):
-    cache = WarmStartCache(WarmSpec(dir=str(tmp_path)))
+    cache = WarmStartCache(str(tmp_path))
     digest = warm_digest("TCP-PRESS", SETTINGS, False)
     cache._store(digest, b"not a real snapshot")
     (tmp_path / f"{digest}.ckpt").write_bytes(

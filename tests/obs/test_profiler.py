@@ -89,19 +89,16 @@ def test_layer_of_maps_repro_modules_to_their_layer():
     assert layer_of("repro.sim") == "sim"
 
 
-def test_qualnames_are_recovered_from_live_functions(monkeypatch):
+def test_qualnames_are_recovered_from_live_functions():
     """Before Python 3.11 code objects carry no ``co_qualname``; the
     names recovered from the live functions are the compiler's."""
-    monkeypatch.setattr(profiler, "_QUALNAMES", {})
-    profiler._index_functions()
+    names = profiler._index_functions()
     cb = next(
         c for c in _FAKE["make"].__code__.co_consts if hasattr(c, "co_name")
     )
-    assert profiler._QUALNAMES[cb] == "make.<locals>.cb"
-    assert profiler._QUALNAMES[_FAKE["Component"].tick.__code__] == (
-        "Component.tick"
-    )
-    assert profiler._QUALNAMES[Engine.run.__code__] == "Engine.run"
+    assert names[cb] == "make.<locals>.cb"
+    assert names[_FAKE["Component"].tick.__code__] == "Component.tick"
+    assert names[Engine.run.__code__] == "Engine.run"
 
 
 def test_layers_group_self_time_by_module():

@@ -6,8 +6,9 @@ Two contracts, both load-bearing for the campaign cache:
   produces bit-identical profiles (and golden fixtures) to a plain run:
   span sites only read engine state, they never schedule or mutate.
 * **Deterministic export** — running the same span-enabled campaign
-  twice writes byte-identical span files: ids rewind per run, sim times
-  are exact, and records are serialized with sorted keys.
+  twice writes byte-identical span files: every run's ids start afresh
+  on its own engine, sim times are exact, and records are serialized
+  with sorted keys.
 """
 
 import json
@@ -111,7 +112,7 @@ def test_span_campaign_results_match_plain_campaign(tmp_path):
 def test_span_export_is_byte_identical_across_runs(tmp_path):
     """The spans-smoke CI check: two identical campaigns, same bytes.
 
-    Global id counters rewind at each run's start, so request/span ids —
+    Request/span ids are drawn from each run's own engine, so they —
     and therefore the exported records — are a pure function of
     (version, fault, settings, seed), not of process history.
     """

@@ -8,6 +8,7 @@ figure shows.
 import pytest
 
 from repro.faults.spec import FaultKind, FaultSpec
+from repro.obs.events import WORKLOAD_REQUEST_DONE
 from repro.press.cluster import SMOKE_SCALE, PressCluster
 from repro.press.config import ALL_VERSIONS
 
@@ -22,6 +23,26 @@ def make(version, seed=3, **kw):
 
 def members_of(cluster):
     return {n: sorted(s.members) for n, s in cluster.servers.items()}
+
+
+def test_back_to_back_clusters_draw_identical_request_ids():
+    """Request ids come from each cluster's own engine, so two clusters
+    built one after the other in one process, with no reset between
+    them, number their requests identically."""
+
+    def done_requests():
+        c = make("TCP-PRESS")
+        done = []
+        c.bus.subscribe(
+            lambda ev: done.append((ev.fields["client"], ev.fields["req_id"])),
+            [WORKLOAD_REQUEST_DONE],
+        )
+        c.run_until(10.0)
+        return done
+
+    first = done_requests()
+    assert first and min(req_id for _client, req_id in first) == 1
+    assert done_requests() == first
 
 
 FULL = ["node0", "node1", "node2", "node3"]

@@ -25,7 +25,7 @@ def build(accept_backlog=128, parse_cost=0.01):
 
 
 def send_req(e, client_nic, file_id="f1"):
-    req = HttpRequest.fresh("c0", file_id, e.now)
+    req = HttpRequest.fresh(e, "c0", file_id)
     client_nic.send(
         Frame(src="c0", dst="s0", size=300, kind="http-req", payload=req)
     )
@@ -81,6 +81,9 @@ def test_send_response_reaches_client():
 
 
 def test_request_ids_monotone():
-    a = HttpRequest.fresh("c", "f", 0.0)
-    b = HttpRequest.fresh("c", "f", 0.0)
+    e = Engine()
+    a = HttpRequest.fresh(e, "c", "f")
+    b = HttpRequest.fresh(e, "c", "f")
     assert b.req_id > a.req_id
+    # Ids belong to the engine: a new one starts its stream afresh.
+    assert HttpRequest.fresh(Engine(), "c", "f").req_id == a.req_id

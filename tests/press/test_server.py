@@ -109,7 +109,7 @@ def test_broken_forward_falls_back_to_local_serve(cluster):
     from repro.press.http import HttpRequest
 
     before = s0.disk_reads
-    req = HttpRequest.fresh("client0", target_file, cluster.engine.now)
+    req = HttpRequest.fresh(cluster.engine, "client0", target_file)
     # node0 still believes node2 is a member (TCP, no heartbeats), but
     # the channel send fails broken -> local fallback via disk.
     s0.membership.exclude("node2", "test-setup")
