@@ -11,7 +11,9 @@ Sections:
 * **overview** — cell inventory and versions/faults covered;
 * **performability** — phase-2 availability / average-throughput /
   performability tables rebuilt from the stored per-cell profiles
-  (same merge arithmetic as the campaign runner);
+  (the runner's merge);
+* **replication** — reps each (version, fault) stream spent and why it
+  stopped, from the store's repetition summaries;
 * **fault matrix** — versions × faults availability grid (the TCP-vs-VIA
   comparison at a glance);
 * **timelines** — per (version, fault) throughput timelines banded with
@@ -27,19 +29,27 @@ Sections:
   (``--profile`` campaigns only): sampled exclusive self-time by layer,
   heap churn, and the per-cell wall-clock breakdown from the store's
   volatile ``perf/`` namespace and ``BENCH_campaign.json`` ledger.
+
+The phase-1 merge, the phase-2 evaluation and the latency, attribution
+and subscriber-error rollups are the functions the ``campaign`` text
+report and the runner call; this module only formats them.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from html import escape
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from ..core.faultload import DAY, MONTH, FaultLoad
 from ..core.metric import performability_of
-from ..core.model import ProfileSet, evaluate
-from ..core.stages import SevenStageProfile, average_profiles
 from .charts import STAGE_COLORS, svg_timeline
+from .report import (
+    attribution_rollup,
+    band_suffix,
+    latency_rollup,
+    subscriber_errors,
+)
 
 _CSS = """
 body { font-family: sans-serif; margin: 1.5em auto; max-width: 72em;
@@ -58,14 +68,6 @@ figure { margin: 0.6em 0 1.4em 0; }
 figcaption { font-size: 90%; color: #444; margin-bottom: 0.2em; }
 """
 
-#: Fault loads evaluated in the performability section (same defaults as
-#: ``repro.analysis.report.campaign_report``).
-_LOADS = (
-    ("app faults 1/day", lambda: FaultLoad.table3(app_fault_mttf=DAY)),
-    ("app faults 1/month", lambda: FaultLoad.table3(app_fault_mttf=MONTH)),
-)
-
-
 class _Cell:
     """One deduplicated store cell (newest schema generation wins)."""
 
@@ -77,6 +79,10 @@ class _Cell:
         #: replication index (schema v5 key records; None on older rows)
         self.rep: Optional[int] = key.get("rep")
         self.payload = payload
+
+    @property
+    def telemetry(self) -> dict:
+        return self.payload.get("telemetry") or {}
 
     @property
     def observatory(self) -> dict:
@@ -114,104 +120,26 @@ def _fmt(x, digits: int = 3) -> str:
     return str(x)
 
 
-def _profile_sets(cells: List[_Cell]) -> Dict[str, ProfileSet]:
-    """Rebuild per-version ProfileSets with the runner's merge rules."""
-    out: Dict[str, ProfileSet] = {}
-    for version in sorted({c.version for c in cells}):
-        tns = [
-            float(c.payload["tn"])
-            for c in cells
-            if c.version == version and c.fault is None and "tn" in c.payload
-        ]
-        per_fault: Dict[str, List[SevenStageProfile]] = {}
-        for c in cells:
-            if c.version != version or c.fault is None:
-                continue
-            if "profile" in c.payload:
-                per_fault.setdefault(c.fault, []).append(
-                    SevenStageProfile.from_dict(c.payload["profile"])
-                )
-        if not tns or not per_fault:
-            continue
-        profiles = ProfileSet(version, sum(tns) / len(tns))
-        for fault in sorted(per_fault):
-            profiles.add(average_profiles(per_fault[fault]))
-        out[version] = profiles
-    return out
-
-
-def _replicate_sets(cells: List[_Cell]) -> Dict[str, List[ProfileSet]]:
-    """Per-version single-replication ProfileSets (complete reps only).
-
-    Needs schema-v5 key records (which carry the replication index); a
-    replication counts only when its baseline and every fault of the
-    version are present, so each ProfileSet is a self-consistent
-    one-seed view — the CI-band samples.
-    """
-    out: Dict[str, List[ProfileSet]] = {}
-    for version in sorted({c.version for c in cells}):
-        vcells = [
-            c for c in cells if c.version == version and c.rep is not None
-        ]
-        faults = sorted({c.fault for c in vcells if c.fault is not None})
-        if not faults:
-            continue
-        by = {(c.fault, c.rep): c for c in vcells}
-        sets: List[ProfileSet] = []
-        for rep in sorted({c.rep for c in vcells}):
-            base = by.get((None, rep))
-            rest = [by.get((f, rep)) for f in faults]
-            if (
-                base is None
-                or "tn" not in base.payload
-                or any(r is None or "profile" not in r.payload for r in rest)
-            ):
-                continue
-            ps = ProfileSet(version, float(base.payload["tn"]))
-            for r in rest:
-                ps.add(SevenStageProfile.from_dict(r.payload["profile"]))
-            sets.append(ps)
-        if sets:
-            out[version] = sets
-    return out
-
-
 def _performability_section(cells: List[_Cell]) -> List[str]:
-    from ..experiments.performability import banded_evaluation
+    from ..experiments.performability import evaluate_campaign
+    from ..experiments.runner import merge_cells
 
-    sets = _profile_sets(cells)
+    sets, replicates = merge_cells(
+        (c.version, c.fault, c.rep, c.payload) for c in cells
+    )
     if not sets:
         return ["<p class='cellnote'>no complete version in the store "
                 "(need a baseline and at least one fault profile)</p>"]
-    replicates = _replicate_sets(cells)
     out: List[str] = []
-    banded_any = False
-    for label, load_of in _LOADS:
-        load = load_of()
+    for label, rows in evaluate_campaign(sets, replicates).items():
         out.append(f"<h3>fault load: {escape(label)}</h3>")
         out.append(
             "<table><tr><th class='label'>version</th><th>AA</th>"
             "<th>unavailability %</th><th>AT req/s</th>"
             "<th>performability</th><th>skipped sources</th></tr>"
         )
-        for version, profiles in sets.items():
-            usable = FaultLoad(
-                components=tuple(c for c in load if c.key in profiles)
-            )
-            skipped = len(load) - len(usable)
-            r = evaluate(profiles, usable)
-            bands = banded_evaluation(
-                profiles, replicates.get(version, []), usable
-            )
-
-            def pm(metric: str, fmt: str) -> str:
-                band = bands[metric]
-                if band.n < 2:
-                    return ""
-                return f" ±{band.half_width:{fmt}}"
-
-            if any(b.n >= 2 for b in bands.values()):
-                banded_any = True
+        for version, (r, bands, skipped) in rows.items():
+            pm = partial(band_suffix, bands)
             out.append(
                 f"<tr><td class='label'>{escape(version)}</td>"
                 f"<td>{r.availability:.5f}{pm('AA', '.5f')}</td>"
@@ -221,8 +149,8 @@ def _performability_section(cells: List[_Cell]) -> List[str]:
                 f"<td>{skipped}</td></tr>"
             )
         out.append("</table>")
-    if banded_any:
-        n = max(len(v) for v in replicates.values())
+    n = max(len(v) for v in replicates.values())
+    if n >= 2:
         out.append(
             "<p class='cellnote'>± figures are 95% Student-t CI half "
             f"widths over up to {n} complete replicate(s).</p>"
@@ -452,14 +380,8 @@ def _health_section(cells: List[_Cell]) -> List[str]:
 
 
 def _latency_section(cells: List[_Cell]) -> List[str]:
-    groups: Dict[tuple, List[dict]] = {}
-    for c in cells:
-        overall = (c.observatory.get("latency") or {}).get("overall")
-        if overall and overall.get("count"):
-            groups.setdefault((c.version, c.fault or "baseline"), []).append(
-                overall
-            )
-    if not groups:
+    rollup = latency_rollup(cells)
+    if not rollup:
         return [
             "<p class='cellnote'>no latency sketches stored (cells "
             "predate schema v6; re-run the campaign to collect them)</p>"
@@ -473,17 +395,14 @@ def _latency_section(cells: List[_Cell]) -> List[str]:
         "<th class='label'>fault</th><th>n</th>"
         "<th>p50</th><th>p95</th><th>p99</th><th>p999</th></tr>",
     ]
-    for (version, fault), overalls in sorted(groups.items()):
-        n = sum(o["count"] for o in overalls)
-        quantiles = []
-        for q in ("p50", "p95", "p99", "p999"):
-            samples = [o[q] for o in overalls if o.get(q) is not None]
-            quantiles.append(
-                _fmt(sum(samples) / len(samples), 3) if samples else "—"
-            )
+    for (version, fault), row in rollup.items():
+        quantiles = [
+            "—" if band is None else _fmt(band[0], 3)
+            for band in row["quantiles"].values()
+        ]
         out.append(
             f"<tr><td class='label'>{escape(version)}</td>"
-            f"<td class='label'>{escape(fault)}</td><td>{n}</td>"
+            f"<td class='label'>{escape(fault)}</td><td>{row['n']}</td>"
             + "".join(f"<td>{v}</td>" for v in quantiles)
             + "</tr>"
         )
@@ -492,29 +411,7 @@ def _latency_section(cells: List[_Cell]) -> List[str]:
 
 
 def _attribution_section(cells: List[_Cell]) -> List[str]:
-    from ..obs.attribution import MECHANISMS
-
-    per_version: Dict[str, dict] = {}
-    for c in cells:
-        att = c.observatory.get("attribution")
-        if not att or not att.get("requests"):
-            continue
-        agg = per_version.setdefault(
-            c.version,
-            {
-                "requests": 0,
-                "lost": 0,
-                "slow": 0,
-                "mech": {m: {"lost": 0, "slow": 0} for m in MECHANISMS},
-            },
-        )
-        agg["requests"] += att["requests"]
-        agg["lost"] += att["total_lost"]
-        agg["slow"] += att["total_slow"]
-        for mech, row in att["mechanisms"].items():
-            dst = agg["mech"].setdefault(mech, {"lost": 0, "slow": 0})
-            dst["lost"] += row["lost"]
-            dst["slow"] += row["slow"]
+    per_version = attribution_rollup(cells)
     if not per_version:
         return [
             "<p class='cellnote'>no attribution summaries stored (cells "
@@ -527,7 +424,7 @@ def _attribution_section(cells: List[_Cell]) -> List[str]:
         "unavailability (lost / all requests), summed over every cell "
         "of the version.</p>"
     ]
-    for version, agg in sorted(per_version.items()):
+    for version, agg in per_version.items():
         n = agg["requests"]
         out.append(
             f"<h3>{escape(version)} — {n} requests, {agg['lost']} lost "
@@ -538,8 +435,7 @@ def _attribution_section(cells: List[_Cell]) -> List[str]:
             "<table><tr><th class='label'>mechanism</th><th>lost</th>"
             "<th>slow</th><th>charged</th><th>cost %</th></tr>"
         )
-        for mech in agg["mech"]:
-            row = agg["mech"][mech]
+        for mech, row in agg["mech"].items():
             charged = row["lost"] + row["slow"]
             if not charged:
                 continue
@@ -646,10 +542,7 @@ def render_dashboard(
     versions = sorted({c.version for c in kept})
     faults = sorted({c.fault for c in kept if c.fault is not None})
     baselines = sum(1 for c in kept if c.fault is None)
-    sub_errors = sum(
-        (c.payload.get("telemetry") or {}).get("subscriber_errors", 0)
-        for c in kept
-    )
+    sub_errors, _cells = subscriber_errors(kept)
     body: List[str] = [
         f"<h1>{escape(title)}</h1>",
         "<h2>overview</h2>",

@@ -1,15 +1,20 @@
-"""Structured text reports over campaigns, profiles, and model results."""
+"""Structured text reports over campaigns, profiles, and model results.
+
+The campaign rollups (latency, attribution, subscriber errors) live here
+too: the ``campaign`` report and the dashboard format the same values.
+"""
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Mapping, Optional
+from functools import partial
+from typing import Dict, Iterable, Mapping, Optional, Tuple
 
-from ..core.faultload import DAY, MONTH, FaultLoad
+from ..core.faultload import FaultLoad
 from ..core.metric import performability_of
-from ..core.model import PerformabilityResult, ProfileSet, evaluate
-from ..core.stages import STAGES, SevenStageProfile
+from ..core.model import PerformabilityResult, ProfileSet
+from ..core.stages import STAGES
 from ..faults.spec import FaultKind, category_of
-from .charts import bar_chart, sparkline, timeline_plot
+from .charts import bar_chart, timeline_plot
 
 
 def profile_table(profiles: ProfileSet) -> str:
@@ -31,6 +36,14 @@ def profile_table(profiles: ProfileSet) -> str:
     return "\n".join(lines)
 
 
+def band_suffix(bands: Optional[Mapping], metric: str, fmt: str) -> str:
+    """`` ±half_width`` of one phase-2 metric; empty below two replicates."""
+    band = (bands or {}).get(metric)
+    if band is None or band.n < 2:
+        return ""
+    return f" ±{band.half_width:{fmt}}"
+
+
 def result_summary(
     result: PerformabilityResult, bands: Optional[Mapping] = None
 ) -> str:
@@ -41,13 +54,7 @@ def result_summary(
     two complete replicates back a band, the headline carries ± CI half
     widths.
     """
-
-    def pm(metric: str, fmt: str) -> str:
-        band = (bands or {}).get(metric)
-        if band is None or band.n < 2:
-            return ""
-        return f" ±{band.half_width:{fmt}}"
-
+    pm = partial(band_suffix, bands)
     lines = [
         f"{result.version}: AA = {result.availability:.5f}{pm('AA', '.5f')}"
         f"  (unavailability {result.unavailability * 100:.3f}%)"
@@ -89,40 +96,26 @@ def campaign_report(
 
     ``replicates`` (optional, from ``CampaignReport.replicates``) maps a
     version to its per-replication ProfileSets; when given, the phase-2
-    summaries carry Student-t CI bands on AA, AT, and P.
+    summaries carry Student-t CI bands on AA, AT, and P.  ``loads``
+    defaults to the two campaign fault loads the dashboard renders too.
     """
-    if loads is None:
-        loads = {
-            "app faults 1/day": FaultLoad.table3(app_fault_mttf=DAY),
-            "app faults 1/month": FaultLoad.table3(app_fault_mttf=MONTH),
-        }
+    from ..experiments.performability import evaluate_campaign
+
     sections = ["=" * 72, "PHASE 1 — measured seven-stage profiles", "=" * 72]
     for version in campaign:
         sections.append(profile_table(campaign[version]))
         sections.append("")
     sections += ["=" * 72, "PHASE 2 — modeled performability", "=" * 72]
-    for label, load in loads.items():
+    phase2 = evaluate_campaign(campaign, replicates, loads)
+    for label, rows in phase2.items():
         sections.append(f"--- fault load: {label} ---")
-        for version, profiles in campaign.items():
-            # A partial campaign evaluates against the loads it measured.
-            usable = FaultLoad(
-                components=tuple(c for c in load if c.key in profiles)
-            )
-            skipped = len(load) - len(usable)
+        for version, (result, bands, skipped) in rows.items():
             if skipped:
                 sections.append(
                     f"(note: {skipped} fault sources without measured"
                     f" profiles were skipped for {version})"
                 )
-            bands = None
-            reps = list((replicates or {}).get(version) or [])
-            if reps:
-                from ..experiments.performability import banded_evaluation
-
-                bands = banded_evaluation(profiles, reps, usable)
-            sections.append(
-                result_summary(evaluate(profiles, usable), bands)
-            )
+            sections.append(result_summary(result, bands))
             sections.append("")
     return "\n".join(sections)
 
@@ -224,60 +217,54 @@ def trace_summary_report(report) -> str:
     return "\n".join(lines)
 
 
-def _obs_groups(report):
-    """Cells with an observatory summary, grouped by (version, fault)."""
-    groups: Dict[tuple, list] = {}
-    for c in report.cells:
-        if not c.observatory:
-            continue
-        groups.setdefault((c.version, c.fault or "baseline"), []).append(
-            c.observatory
-        )
-    return groups
+def subscriber_errors(cells) -> Tuple[int, int]:
+    """``(errors, cells with errors)`` summed over the cells' ``.telemetry``:
+    how often an observer saw a partial event stream."""
+    errors = error_cells = 0
+    for c in cells:
+        n = (c.telemetry or {}).get("subscriber_errors", 0)
+        if n:
+            errors += n
+            error_cells += 1
+    return errors, error_cells
 
 
 _QUANTILE_COLUMNS = ("p50", "p95", "p99", "p999")
 
 
-def latency_band_report(report, confidence: float = 0.95) -> str:
-    """Tail-latency bands per (version, fault) from cell observatories.
+def latency_rollup(cells, confidence: float = 0.95) -> Dict[tuple, dict]:
+    """Served-request latency per ``(version, fault-or-"baseline")`` stream.
 
-    One row per campaign stream: the P² quantile estimates of served
-    (``ok``) request latency, averaged across replications, with
-    Student-t CI half widths once at least two replications back a
-    stream.  Latencies are sim-seconds.  Cells served from a
-    pre-observatory cache contribute nothing; the section disappears
-    entirely when no cell carries latency sketches.
+    ``cells`` expose ``.version``, ``.fault`` and ``.observatory``.  For
+    every stream with at least one latency sketch: ``n`` requests,
+    ``quantiles`` mapping p50/p95/p99/p999 to ``(mean, half_width)``
+    across replications (``half_width`` is the Student-t CI half width,
+    ``None`` below two samples; the pair is ``None`` without samples),
+    and ``stage_p95``: the mean p95 of requests completing in each online
+    stage.  Streams are in sorted order; latencies are sim-seconds.
     """
     from ..experiments.repeaters import ci_half_width
 
-    groups = _obs_groups(report)
-    rows = []
-    stage_rows = []
-    for (version, fault), summaries in sorted(groups.items()):
+    groups: Dict[tuple, list] = {}
+    for c in cells:
+        if c.observatory:
+            groups.setdefault((c.version, c.fault or "baseline"), []).append(
+                c.observatory
+            )
+    out: Dict[tuple, dict] = {}
+    for stream, summaries in sorted(groups.items()):
         overall = [
             s["latency"]["overall"]
             for s in summaries
-            if s.get("latency") and s["latency"]["overall"]["count"]
+            if ((s.get("latency") or {}).get("overall") or {}).get("count")
         ]
         if not overall:
             continue
-        n = sum(o["count"] for o in overall)
-        cells = []
+        quantiles = {}
         for q in _QUANTILE_COLUMNS:
-            samples = [o[q] for o in overall if o.get(q) is not None]
-            if not samples:
-                cells.append(f"{'—':>15s}")
-                continue
-            mean = sum(samples) / len(samples)
-            if len(samples) >= 2:
-                half = ci_half_width(samples, confidence)
-                cells.append(f"{mean:8.4f}±{half:6.4f}")
-            else:
-                cells.append(f"{mean:8.4f}{'':>7s}")
-        rows.append(f"  {version + '/' + fault:38s} {n:>7d}" + "".join(cells))
-        # Per-stage tails: the p95 of requests completing in each online
-        # stage (A-G), averaged across replications.
+            xs = [o[q] for o in overall if o.get(q) is not None]
+            half = ci_half_width(xs, confidence) if len(xs) >= 2 else None
+            quantiles[q] = (sum(xs) / len(xs), half) if xs else None
         stages: Dict[str, list] = {}
         for s in summaries:
             for stage, sketch in (s.get("latency") or {}).get(
@@ -285,43 +272,35 @@ def latency_band_report(report, confidence: float = 0.95) -> str:
             ).items():
                 if sketch.get("p95") is not None:
                     stages.setdefault(stage, []).append(sketch["p95"])
-        if len(stages) > 1:
-            parts = " ".join(
-                f"{stage}:{sum(v) / len(v):.3f}"
-                for stage, v in sorted(stages.items())
-            )
-            stage_rows.append(f"  {version + '/' + fault:38s} {parts}")
-    if not rows:
-        return ""
-    lines = [
-        "tail latency of served requests (sim-seconds; "
-        f"± = {confidence:.0%} Student-t CI across replications):",
-        f"  {'stream':38s} {'n':>7s}"
-        + "".join(f"{q:>15s}" for q in _QUANTILE_COLUMNS),
-    ]
-    lines += rows
-    if stage_rows:
-        lines.append("per-stage p95 (stage at completion time):")
-        lines += stage_rows
-    return "\n".join(lines)
+        out[stream] = {
+            "n": sum(o["count"] for o in overall),
+            "quantiles": quantiles,
+            "stage_p95": {
+                stage: sum(v) / len(v) for stage, v in sorted(stages.items())
+            },
+        }
+    return out
 
 
-def attribution_report(report) -> str:
-    """Per-mechanism availability-cost tables, one per version.
+def attribution_rollup(cells) -> Dict[str, dict]:
+    """Per-version sums of the cells' attribution summaries.
 
-    Sums every cell's :class:`~repro.obs.attribution.AttributionProbe`
-    summary over the campaign: how many requests each mechanism lost
-    (rejects + timeouts) or slowed past the SLO, and the per-mechanism
-    slice of unavailability (``cost`` = lost / all requests).  Empty when
-    no cell carries an attribution summary (pre-observatory cache).
+    ``cells`` expose ``.version`` and ``.observatory``.  Each version
+    with at least one attributed request maps to ``requests``, ``lost``
+    (rejects + timeouts), ``slow`` (served above the SLO) and ``mech``:
+    per-mechanism ``{"lost", "slow"}`` counts, in
+    :data:`~repro.obs.attribution.MECHANISMS` order.  Versions are in
+    sorted order.
     """
     from ..obs.attribution import MECHANISMS
 
-    groups = _obs_groups(report)
     per_version: Dict[str, dict] = {}
-    for (version, _fault), summaries in sorted(groups.items()):
+    for c in cells:
+        att = (c.observatory or {}).get("attribution")
+        if not att or not att.get("requests"):
+            continue
         agg = per_version.setdefault(
-            version,
+            c.version,
             {
                 "requests": 0,
                 "lost": 0,
@@ -329,18 +308,60 @@ def attribution_report(report) -> str:
                 "mech": {m: {"lost": 0, "slow": 0} for m in MECHANISMS},
             },
         )
-        for s in summaries:
-            att = s.get("attribution")
-            if not att:
-                continue
-            agg["requests"] += att["requests"]
-            agg["lost"] += att["total_lost"]
-            agg["slow"] += att["total_slow"]
-            for mech, row in att["mechanisms"].items():
-                dst = agg["mech"].setdefault(mech, {"lost": 0, "slow": 0})
-                dst["lost"] += row["lost"]
-                dst["slow"] += row["slow"]
-    per_version = {v: a for v, a in per_version.items() if a["requests"]}
+        agg["requests"] += att["requests"]
+        agg["lost"] += att["total_lost"]
+        agg["slow"] += att["total_slow"]
+        for mech, row in att["mechanisms"].items():
+            dst = agg["mech"].setdefault(mech, {"lost": 0, "slow": 0})
+            dst["lost"] += row["lost"]
+            dst["slow"] += row["slow"]
+    return dict(sorted(per_version.items()))
+
+
+def latency_band_report(report, confidence: float = 0.95) -> str:
+    """Tail-latency bands per (version, fault): :func:`latency_rollup`
+    of the campaign's cells, one row per stream with its ± CI half widths.
+    Empty when no cell carries latency sketches (pre-observatory cache).
+    """
+    rollup = latency_rollup(report.cells, confidence)
+    if not rollup:
+        return ""
+    lines = [
+        "tail latency of served requests (sim-seconds; "
+        f"± = {confidence:.0%} Student-t CI across replications):",
+        f"  {'stream':38s} {'n':>7s}"
+        + "".join(f"{q:>15s}" for q in _QUANTILE_COLUMNS),
+    ]
+    stage_rows = []
+    for (version, fault), row in rollup.items():
+        cells = []
+        for q in _QUANTILE_COLUMNS:
+            band = row["quantiles"][q]
+            if band is None:
+                cells.append(f"{'—':>15s}")
+            elif band[1] is None:
+                cells.append(f"{band[0]:8.4f}{'':>7s}")
+            else:
+                cells.append(f"{band[0]:8.4f}±{band[1]:6.4f}")
+        label = version + "/" + fault
+        lines.append(f"  {label:38s} {row['n']:>7d}" + "".join(cells))
+        if len(row["stage_p95"]) > 1:
+            parts = " ".join(
+                f"{stage}:{p95:.3f}" for stage, p95 in row["stage_p95"].items()
+            )
+            stage_rows.append(f"  {label:38s} {parts}")
+    if stage_rows:
+        lines.append("per-stage p95 (stage at completion time):")
+        lines += stage_rows
+    return "\n".join(lines)
+
+
+def attribution_report(report) -> str:
+    """Per-mechanism availability-cost tables, one per version, from
+    :func:`attribution_rollup` of the campaign's cells (``cost`` = lost /
+    all requests).  Empty when no cell carries an attribution summary.
+    """
+    per_version = attribution_rollup(report.cells)
     if not per_version:
         return ""
     lines = [
@@ -358,8 +379,7 @@ def attribution_report(report) -> str:
             f"    {'mechanism':22s} {'lost':>8s} {'slow':>8s}"
             f" {'charged':>8s} {'cost':>8s}"
         )
-        for mech in agg["mech"]:
-            row = agg["mech"][mech]
+        for mech, row in agg["mech"].items():
             charged = row["lost"] + row["slow"]
             if not charged:
                 continue

@@ -70,10 +70,6 @@ def configure(
         _default_profile = bool(profile)
 
 
-def default_store() -> ResultStore:
-    return _default_store
-
-
 def measure_profile_set(
     version: str,
     settings: Phase1Settings = DEFAULT_SETTINGS,

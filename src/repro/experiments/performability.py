@@ -8,7 +8,7 @@ the paper reuses its measurements.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from ..core.faultload import (
     DAY,
@@ -109,6 +109,45 @@ def banded_evaluation(
             confidence=confidence,
         )
     return out
+
+
+def campaign_loads() -> Dict[str, FaultLoad]:
+    """The two fault loads a campaign's phase 2 is reported under:
+    Table 3 with application faults once a day and once a month."""
+    return {
+        "app faults 1/day": FaultLoad.table3(app_fault_mttf=DAY),
+        "app faults 1/month": FaultLoad.table3(app_fault_mttf=MONTH),
+    }
+
+
+def evaluate_campaign(
+    campaign: Mapping[str, ProfileSet],
+    replicates: Optional[Mapping[str, List[ProfileSet]]] = None,
+    loads: Optional[Mapping[str, FaultLoad]] = None,
+) -> Dict[str, Dict[str, tuple]]:
+    """Phase 2 of a campaign: ``{load: {version: (result, bands, skipped)}}``.
+
+    Each load (default :func:`campaign_loads`) is restricted to the
+    fault sources the version measured — a partial campaign evaluates
+    against what it has, and ``skipped`` counts the sources left out —
+    then evaluated on the merged profiles and banded over the version's
+    complete replicates (``bands`` have ``n < 2`` without them).
+    """
+    out: Dict[str, Dict[str, tuple]] = {}
+    if loads is None:
+        loads = campaign_loads()
+    for label, load in loads.items():
+        rows = out[label] = {}
+        for version, profiles in campaign.items():
+            usable = _usable_load(load, profiles)
+            reps = list((replicates or {}).get(version) or [])
+            rows[version] = (
+                evaluate(profiles, usable),
+                banded_evaluation(profiles, reps, usable),
+                len(load) - len(usable),
+            )
+    return out
+
 
 #: Base per-node application fault rate used in the §6.3 sensitivity
 #: figures.  The paper studies the 1/day..1/month band and does not state

@@ -22,7 +22,8 @@ the experiment settings and its derived seed.  This module
 * merges per-cell fitted profiles into :class:`ProfileSet`s exactly the
   way the serial code always has (throughputs averaged per fault,
   duration-weighted), so parallel and serial campaigns are
-  interchangeable.
+  interchangeable; :func:`merge_cells` is that merge, and the dashboard
+  runs it over a store's cells.
 
 A :class:`CampaignReport` records per-cell wall-clock and cache
 provenance; ``repro.analysis.report.campaign_timing_report`` renders it.
@@ -39,6 +40,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
+from ..analysis.report import subscriber_errors
 from ..core.model import ProfileSet
 from ..core.stages import SevenStageProfile, average_profiles
 from ..faults.spec import FaultKind
@@ -124,41 +126,6 @@ def _warm_cell(
     return WarmStartCache(warm).ensure(version, cell_settings, keep_events)
 
 
-def _start_cell(
-    version: str,
-    cell_settings: Phase1Settings,
-    keep_events: bool,
-    warm: Optional[str],
-):
-    """Warm (cluster, observatory, provenance) for one cell.
-
-    With a checkpoint directory ``warm`` the warm segment is restored
-    from (or captured into) the campaign's checkpoint cache; without one
-    the cell runs cold and the caller simulates the warm segment itself.
-    """
-    from ..obs.bus import EventRecorder
-    from ..obs.observatory import Observatory
-
-    if warm is not None:
-        return WarmStartCache(warm).obtain(
-            version, cell_settings, keep_events
-        )
-    obs = Observatory(
-        recorder=EventRecorder(keep_events=keep_events),
-        env=cell_settings.environment,
-    )
-    return None, obs, {"status": STATUS_COLD}
-
-
-def _make_spans(spans: Optional[tuple]):
-    """Build a collector for ``spans`` = (dir, fmt, sample, label)."""
-    if spans is None:
-        return None
-    from ..obs.spans import SpanCollector
-
-    return SpanCollector(sample_every=spans[2])
-
-
 def _perf_record(
     sampler, cluster, payload: dict, restore_s: float, execute_s: float,
     events0: int, warm_prov: dict,
@@ -191,6 +158,123 @@ def _perf_record(
     }
 
 
+def _run_cell(
+    version: str,
+    fault: Optional[str],
+    settings: Phase1Settings,
+    seed: int,
+    trace: Optional[tuple],
+    spans: Optional[tuple],
+    warm: Optional[str],
+    profile: bool,
+) -> dict:
+    """Run one cell — the baseline when ``fault`` is None — to its payload.
+
+    With a checkpoint directory ``warm`` the warm segment is restored
+    from (or captured into) the campaign's checkpoint cache; without one
+    the cell simulates it itself.  The cell's own segment runs under the
+    stack sampler; then the observatory is finished, spans and trace are
+    exported, and the flight-recorder record is attached.
+    """
+    from ..core.divergence import divergence_report
+    from ..core.extract import extract_profile
+    from ..obs.bus import EventRecorder
+    from ..obs.exporters import telemetry_summary
+    from ..obs.observatory import Observatory
+    from ..obs.spans import SpanCollector
+    from .phase1 import run_baseline, run_single_fault
+
+    cell_settings = dataclasses.replace(settings, seed=seed)
+    keep_events = trace is not None
+    start = time.perf_counter()
+    if warm is not None:
+        cluster, obs, warm_prov = WarmStartCache(warm).obtain(
+            version, cell_settings, keep_events
+        )
+    else:
+        cluster, warm_prov = None, {"status": STATUS_COLD}
+        obs = Observatory(
+            recorder=EventRecorder(keep_events=keep_events),
+            env=cell_settings.environment,
+        )
+    restore_s = time.perf_counter() - start
+    collector = None if spans is None else SpanCollector(sample_every=spans[2])
+    sampler = StackSampler() if profile else contextlib.nullcontext()
+    events0 = 0 if cluster is None else cluster.engine.events_processed
+    config = ALL_VERSIONS_EXTENDED[version]
+    segment = dict(
+        recorder=None if cluster is not None else obs,
+        warm_cluster=cluster,
+        spans=collector,
+    )
+    run_at = time.perf_counter()
+    with sampler:
+        if fault is None:
+            tn, cluster = run_baseline(config, cell_settings, **segment)
+        else:
+            # The cell measures its *own* pre-injection throughput as
+            # Tn.  The extraction thresholds (impact/recovery, a few
+            # percent of Tn) need Tn correlated with the run they judge;
+            # with per-group seeds that correlation is exact — baseline
+            # and faults of a (version, rep) share the pre-injection
+            # trajectory, as the historical serial path arranged by
+            # running them under one seed per replication.
+            kind = FaultKind(fault)
+            record, cluster = run_single_fault(
+                config, kind, cell_settings, **segment
+            )
+    execute_s = time.perf_counter() - run_at
+    obs.finish(cluster)
+    _export_cell_spans(
+        collector, spans, cluster, version=version, fault=fault, seed=seed
+    )
+    if fault is None:
+        end = cell_settings.warm + cell_settings.fault_at
+        payload = {"kind": "baseline", "tn": tn}
+        timeline = _timeline_payload(
+            [
+                (t, rate * cluster.scale.report_factor)
+                for t, rate in cluster.monitor.series(0.0, end)
+            ],
+            cluster.monitor.bucket_width,
+            cluster.monitor.availability(),
+            tn,
+        )
+    else:
+        fitted = extract_profile(
+            record, mttr=FAULT_MTTR[kind], env=settings.environment
+        )
+        payload = {"kind": "profile", "profile": fitted.to_dict()}
+        timeline = _timeline_payload(
+            record.timeline.series,
+            record.timeline.bucket_width,
+            record.timeline.availability,
+            record.normal_throughput,
+        )
+    payload.update(
+        elapsed=time.perf_counter() - start,
+        restore_elapsed=restore_s,
+        warm_start=warm_prov,
+        telemetry=telemetry_summary(
+            obs.recorder, cluster.metrics, bus=cluster.bus
+        ),
+        observatory=obs.summary(),
+    )
+    if fault is not None:
+        payload["divergence"] = divergence_report(
+            obs.detector.summary(), record, settings.environment
+        )
+    payload["timeline"] = timeline
+    if profile:
+        payload["perf"] = _perf_record(
+            sampler, cluster, payload, restore_s, execute_s, events0, warm_prov
+        )
+    _export_cell_trace(
+        obs.recorder, trace, version=version, fault=fault, seed=seed
+    )
+    return payload
+
+
 def _baseline_cell(
     version: str,
     settings: Phase1Settings,
@@ -200,61 +284,9 @@ def _baseline_cell(
     warm: Optional[str] = None,
     profile: bool = False,
 ) -> dict:
-    from ..obs.exporters import telemetry_summary
-    from .phase1 import run_baseline
-
-    cell_settings = dataclasses.replace(settings, seed=seed)
-    start = time.perf_counter()
-    cluster, obs, warm_prov = _start_cell(
-        version, cell_settings, trace is not None, warm
+    return _run_cell(
+        version, None, settings, seed, trace, spans, warm, profile
     )
-    restore_s = time.perf_counter() - start
-    collector = _make_spans(spans)
-    sampler = StackSampler() if profile else contextlib.nullcontext()
-    events0 = 0 if cluster is None else cluster.engine.events_processed
-    run_at = time.perf_counter()
-    with sampler:
-        tn, cluster = run_baseline(
-            ALL_VERSIONS_EXTENDED[version],
-            cell_settings,
-            recorder=None if cluster is not None else obs,
-            warm_cluster=cluster,
-            spans=collector,
-        )
-    execute_s = time.perf_counter() - run_at
-    obs.finish(cluster)
-    _export_cell_spans(
-        collector, spans, cluster, version=version, fault=None, seed=seed
-    )
-    end = cell_settings.warm + cell_settings.fault_at
-    payload = {
-        "kind": "baseline",
-        "tn": tn,
-        "elapsed": time.perf_counter() - start,
-        "restore_elapsed": restore_s,
-        "warm_start": warm_prov,
-        "telemetry": telemetry_summary(
-            obs.recorder, cluster.metrics, bus=cluster.bus
-        ),
-        "observatory": obs.summary(),
-        "timeline": _timeline_payload(
-            [
-                (t, rate * cluster.scale.report_factor)
-                for t, rate in cluster.monitor.series(0.0, end)
-            ],
-            cluster.monitor.bucket_width,
-            cluster.monitor.availability(),
-            tn,
-        ),
-    }
-    if profile:
-        payload["perf"] = _perf_record(
-            sampler, cluster, payload, restore_s, execute_s, events0, warm_prov
-        )
-    _export_cell_trace(
-        obs.recorder, trace, version=version, fault=None, seed=seed
-    )
-    return payload
 
 
 def _fault_cell(
@@ -267,73 +299,9 @@ def _fault_cell(
     warm: Optional[str] = None,
     profile: bool = False,
 ) -> dict:
-    from ..core.divergence import divergence_report
-    from ..core.extract import extract_profile
-    from ..obs.exporters import telemetry_summary
-    from .phase1 import run_single_fault
-
-    kind = FaultKind(fault_value)
-    cell_settings = dataclasses.replace(settings, seed=seed)
-    start = time.perf_counter()
-    cluster, obs, warm_prov = _start_cell(
-        version, cell_settings, trace is not None, warm
+    return _run_cell(
+        version, fault_value, settings, seed, trace, spans, warm, profile
     )
-    restore_s = time.perf_counter() - start
-    collector = _make_spans(spans)
-    sampler = StackSampler() if profile else contextlib.nullcontext()
-    events0 = 0 if cluster is None else cluster.engine.events_processed
-    run_at = time.perf_counter()
-    # The cell measures its *own* pre-injection throughput as Tn.  The
-    # extraction thresholds (impact/recovery, a few percent of Tn) need
-    # Tn correlated with the run they judge; with per-group seeds that
-    # correlation is exact — baseline and faults of a (version, rep)
-    # share the pre-injection trajectory, as the historical serial path
-    # arranged by running them under one seed per replication.
-    with sampler:
-        record, cluster = run_single_fault(
-            ALL_VERSIONS_EXTENDED[version],
-            kind,
-            cell_settings,
-            recorder=None if cluster is not None else obs,
-            warm_cluster=cluster,
-            spans=collector,
-        )
-    execute_s = time.perf_counter() - run_at
-    obs.finish(cluster)
-    _export_cell_spans(
-        collector, spans, cluster, version=version, fault=fault_value, seed=seed
-    )
-    fitted = extract_profile(
-        record, mttr=FAULT_MTTR[kind], env=settings.environment
-    )
-    payload = {
-        "kind": "profile",
-        "profile": fitted.to_dict(),
-        "elapsed": time.perf_counter() - start,
-        "restore_elapsed": restore_s,
-        "warm_start": warm_prov,
-        "telemetry": telemetry_summary(
-            obs.recorder, cluster.metrics, bus=cluster.bus
-        ),
-        "observatory": obs.summary(),
-        "divergence": divergence_report(
-            obs.detector.summary(), record, settings.environment
-        ),
-        "timeline": _timeline_payload(
-            record.timeline.series,
-            record.timeline.bucket_width,
-            record.timeline.availability,
-            record.normal_throughput,
-        ),
-    }
-    if profile:
-        payload["perf"] = _perf_record(
-            sampler, cluster, payload, restore_s, execute_s, events0, warm_prov
-        )
-    _export_cell_trace(
-        obs.recorder, trace, version=version, fault=fault_value, seed=seed
-    )
-    return payload
 
 
 def _export_cell_trace(
@@ -462,6 +430,7 @@ class StreamRecord:
 class CampaignReport:
     """Where a campaign's wall-clock went, cell by cell."""
 
+    #: worker processes the campaign ran on (1 when they could not start)
     jobs: int = 1
     wall_clock: float = 0.0
     cells: List[CellRecord] = field(default_factory=list)
@@ -574,6 +543,74 @@ class CampaignReport:
 
 
 # ----------------------------------------------------------------------
+# Phase-1 merge
+# ----------------------------------------------------------------------
+
+
+def merge_cells(
+    rows: Iterable[Tuple[str, Optional[str], Optional[int], dict]],
+) -> Tuple[Dict[str, ProfileSet], Dict[str, List[ProfileSet]]]:
+    """Merge cell payloads into per-version ProfileSets and replicates.
+
+    ``rows`` are ``(version, fault, rep, payload)``, ``fault=None`` for
+    baselines.  Versions and faults keep the order they first appear in
+    (the campaign's order for the runner, the store's sorted order for
+    the dashboard); replications merge in rep order.  Returns
+
+    * the merged set per version: Tn averaged over the baseline reps,
+      each fault's profiles averaged (duration-weighted) in rep order;
+    * the replicates per version: one single-seed ProfileSet for every
+      rep in which the baseline and every fault of the version ran —
+      the samples behind the AT/AA/P CI bands.
+
+    A version without a baseline Tn or without any fault profile (a
+    partial store) is left out.  Rows without a rep (pre-v5 store keys)
+    count towards the merged set only.
+    """
+    streams: Dict[str, Dict[Optional[str], list]] = {}
+    for version, fault, rep, payload in rows:
+        streams.setdefault(version, {}).setdefault(fault, []).append(
+            (rep, payload)
+        )
+    merged: Dict[str, ProfileSet] = {}
+    replicates: Dict[str, List[ProfileSet]] = {}
+    for version, cells in streams.items():
+        for reps in cells.values():
+            reps.sort(key=lambda rp: -1 if rp[0] is None else rp[0])
+        tns = [
+            (rep, float(p["tn"])) for rep, p in cells.get(None, ()) if "tn" in p
+        ]
+        faults: Dict[str, list] = {}
+        for fault, reps in cells.items():
+            measured = [
+                (rep, SevenStageProfile.from_dict(p["profile"]))
+                for rep, p in reps
+                if "profile" in p
+            ]
+            if fault is not None and measured:
+                faults[fault] = measured
+        if not tns or not faults:
+            continue
+        profiles = ProfileSet(version, sum(tn for _rep, tn in tns) / len(tns))
+        for measured in faults.values():
+            profiles.add(average_profiles(p for _rep, p in measured))
+        merged[version] = profiles
+        # A later duplicate of a (fault, rep) — a store holding two
+        # campaigns — replaces the earlier one in the replicate view.
+        base = dict(tns)
+        per_fault = [dict(measured) for measured in faults.values()]
+        sets: List[ProfileSet] = []
+        for rep in sorted(set(base) - {None}):
+            if all(rep in got for got in per_fault):
+                ps = ProfileSet(version, base[rep])
+                for got in per_fault:
+                    ps.add(got[rep])
+                sets.append(ps)
+        replicates[version] = sets
+    return merged, replicates
+
+
+# ----------------------------------------------------------------------
 # The runner
 # ----------------------------------------------------------------------
 
@@ -639,6 +676,9 @@ class CampaignRunner:
             require_sampler()
         #: run-scoped warm-checkpoint directory (in-memory stores)
         self._spool = None
+        #: why worker processes could not start, once a wave fell back
+        #: to running its calls inline (None while the pool works)
+        self._inline: Optional[str] = None
         self.warm_start = warm_start
         #: campaign-level observability (campaign.warm_start.* and
         #: campaign.reps.* counters)
@@ -826,7 +866,7 @@ class CampaignRunner:
         process pool.  The pool starts its workers at the first submit,
         not in its constructor, so both sit inside the fallback: on a
         host that cannot start worker processes the calls run inline,
-        with the same results.
+        with the same results, and the campaign report says so.
         """
         if self.jobs > 1 and len(calls) > 1:
             pool = None
@@ -841,7 +881,8 @@ class CampaignRunner:
                     mp_context=multiprocessing.get_context(method),
                 )
                 futures = [pool.submit(*call) for call in calls]
-            except (ImportError, NotImplementedError, OSError, ValueError):
+            except (ImportError, NotImplementedError, OSError, ValueError) as exc:
+                self._inline = f"{type(exc).__name__}: {exc}"
                 if pool is not None:
                     # Workers that did start would wait for work forever.
                     for process in (pool._processes or {}).values():
@@ -959,32 +1000,6 @@ class CampaignRunner:
                 record.to_payload(),
             )
 
-    def _replicates(
-        self,
-        versions: List[str],
-        faults: Tuple[FaultKind, ...],
-        payloads: Dict[_Cell, dict],
-    ) -> Dict[str, List[ProfileSet]]:
-        """Per-version single-replication ProfileSets over the reps every
-        stream of the version completed — the AT/AA/P band samples."""
-        by_cell = {(c.version, c.fault, c.rep): p for c, p in payloads.items()}
-        out: Dict[str, List[ProfileSet]] = {}
-        for version in versions:
-            sets: List[ProfileSet] = []
-            for rep in range(self.settings.repetition_policy().max_reps):
-                base = by_cell.get((version, None, rep))
-                rest = [
-                    by_cell.get((version, f.value, rep)) for f in faults
-                ]
-                if base is None or any(p is None for p in rest):
-                    continue
-                ps = ProfileSet(version, float(base["tn"]))
-                for payload in rest:
-                    ps.add(SevenStageProfile.from_dict(payload["profile"]))
-                sets.append(ps)
-            out[version] = sets
-        return out
-
     # -- public API ----------------------------------------------------
     def run(
         self,
@@ -1002,6 +1017,7 @@ class CampaignRunner:
             reps_ceiling_per_stream=rule.max_reps,
         )
         started = time.perf_counter()
+        self._inline = None
 
         # Streams: the baseline and every fault of each version
         # replicate independently under one rule.  Every cell is
@@ -1077,40 +1093,11 @@ class CampaignRunner:
                 self._spool = None
         report.repetition.sort(key=lambda r: (r.version, r.fault or ""))
 
-        # Merge: identical arithmetic to the historical fixed-rep path —
-        # Tn averaged over the baseline reps that ran, per-fault
-        # profiles averaged in replication order.
-        out: Dict[str, ProfileSet] = {}
-        for version in versions:
-            tns = [
-                payloads[c]["tn"]
-                for c in sorted(
-                    (c for c in payloads if c.version == version and c.fault is None),
-                    key=lambda c: c.rep,
-                )
-            ]
-            profiles = ProfileSet(version, sum(tns) / len(tns))
-            for kind in faults:
-                reps_of_fault = sorted(
-                    (
-                        c
-                        for c in payloads
-                        if c.version == version and c.fault == kind.value
-                    ),
-                    key=lambda c: c.rep,
-                )
-                profiles.add(
-                    average_profiles(
-                        [
-                            SevenStageProfile.from_dict(
-                                payloads[c]["profile"]
-                            )
-                            for c in reps_of_fault
-                        ]
-                    )
-                )
-            out[version] = profiles
-        report.replicates = self._replicates(versions, faults, payloads)
+        order = {stream: i for i, stream in enumerate(streams)}
+        out, report.replicates = merge_cells(
+            (c.version, c.fault, c.rep, payloads[c])
+            for c in sorted(payloads, key=lambda c: (order[c.stream], c.rep))
+        )
 
         report.notices.extend(self.store.drain_notices())
         self._finish_warm_report(report)
@@ -1128,18 +1115,18 @@ class CampaignRunner:
                     f"; rep budget exhausted on {budget.denied} stream(s)"
                 )
             report.notices.append(notice)
-        errors = 0
-        error_cells = 0
-        for rec in report.cells:
-            n = (rec.telemetry or {}).get("subscriber_errors", 0)
-            if n:
-                errors += n
-                error_cells += 1
+        errors, error_cells = subscriber_errors(report.cells)
         if errors:
             report.notices.append(
                 f"{errors} bus subscriber error(s) across {error_cells} "
                 "cell(s) — observers saw a partial event stream "
                 "(bus.subscriber_errors)"
+            )
+        if self._inline is not None:
+            report.jobs = 1
+            report.notices.append(
+                f"worker processes could not start ({self._inline}); "
+                f"cells ran serially in this process, not on {self.jobs} jobs"
             )
         report.wall_clock = time.perf_counter() - started
         if self.profile:

@@ -194,13 +194,6 @@ class Phase1Settings:
             self.n_nodes,
         )
 
-    def cache_key(self) -> tuple:
-        """Full campaign identity: the simulation key plus grid layout."""
-        return self.sim_key() + (
-            self.replications,
-            self.repetition_policy().key(),
-        )
-
 
 DEFAULT_SETTINGS = Phase1Settings()
 

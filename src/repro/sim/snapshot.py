@@ -32,10 +32,11 @@ cycles.  Only two constructs need help:
   rather than producing a checkpoint that cannot resume.
 
 Checkpoints are an internal format: they are only valid for the exact
-interpreter and code that wrote them, which is why
-:func:`checkpoint_digest` folds in the snapshot :data:`FORMAT_VERSION`,
-the Python version and the marshal format (see the warm-start cache for
-the visible-invalidation behaviour built on top).
+interpreter and code that wrote them, which is why every warm-start
+checkpoint file opens with a header naming the snapshot
+:data:`FORMAT_VERSION`, the Python version and the marshal format
+(``repro.experiments.warmstart._header``): a mismatch is a visible
+invalidation, never a resume.
 
 Verification
 ------------
@@ -56,8 +57,6 @@ import io
 import json
 import marshal
 import pickle
-import pickletools
-import sys
 import types
 from typing import Any, Protocol, runtime_checkable
 
@@ -65,8 +64,9 @@ from .engine import SimulationError
 
 #: Bump when the snapshot encoding (this module) or any snapshotted
 #: component changes its pickled layout in a way that invalidates
-#: existing checkpoints.  Folded into :func:`checkpoint_digest`, so stale
-#: checkpoints miss instead of resuming wrongly.
+#: existing checkpoints.  Written into the warm-start file header
+#: (``repro.experiments.warmstart._header``), so stale checkpoints are
+#: recomputed instead of resuming wrongly.
 #:
 #: v2: warm checkpoints carry the global id-counter positions
 #:     (``repro.sim.ids``) alongside the (cluster, observatory) pair, and
@@ -257,31 +257,3 @@ def state_digest(obj: Snapshottable) -> str:
 def rng_digest(rng) -> str:
     """Short stable hash of a ``random.Random`` position."""
     return hashlib.sha256(repr(rng.getstate()).encode()).hexdigest()[:12]
-
-
-def checkpoint_digest(*parts: Any) -> str:
-    """Content address for a checkpoint derived from ``parts``.
-
-    Always folds in everything that changes the meaning of the stored
-    bytes: the snapshot format, the interpreter (marshal output is
-    version-specific) — callers add the simulation inputs (version name,
-    settings cache key, seed).
-    """
-    hasher = hashlib.sha256()
-    hasher.update(
-        f"snapshot-v{FORMAT_VERSION}"
-        f"|py{sys.version_info[0]}.{sys.version_info[1]}"
-        f"|marshal{marshal.version}".encode()
-    )
-    for part in parts:
-        hasher.update(b"\x00")
-        hasher.update(repr(part).encode())
-    return hasher.hexdigest()
-
-
-def blob_summary(blob: bytes) -> dict:
-    """Size/opcode statistics for a snapshot blob (diagnostic aid)."""
-    n_ops = 0
-    for _op, _arg, _pos in pickletools.genops(blob):
-        n_ops += 1
-    return {"bytes": len(blob), "pickle_ops": n_ops}

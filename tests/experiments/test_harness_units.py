@@ -32,14 +32,13 @@ class TestSettings:
         assert FaultKind.LINK_DOWN in DURATION_FAULTS
         assert FaultKind.APP_HANG in DURATION_FAULTS
 
-    def test_cache_key_distinguishes_settings(self):
-        a = DEFAULT_SETTINGS.cache_key()
-        b = dataclasses.replace(DEFAULT_SETTINGS, seed=99).cache_key()
-        c = dataclasses.replace(DEFAULT_SETTINGS, replications=1).cache_key()
-        assert len({a, b, c}) == 3
+    def test_sim_key_distinguishes_settings(self):
+        a = DEFAULT_SETTINGS.sim_key()
+        b = dataclasses.replace(DEFAULT_SETTINGS, seed=99).sim_key()
+        assert a != b
 
-    def test_cache_key_is_hashable(self):
-        hash(DEFAULT_SETTINGS.cache_key())
+    def test_sim_key_is_hashable(self):
+        hash(DEFAULT_SETTINGS.sim_key())
 
 
 class TestTable1Formatting:

@@ -78,7 +78,8 @@ class TestDeterminism:
         """The pool forks its workers at the first submit, not in its
         constructor: a host that cannot fork still finishes the
         campaign, inline, with a serial run's payloads, and a worker
-        forked before the failure does not outlive it."""
+        forked before the failure does not outlive it.  The report
+        says the campaign ran serially instead of claiming two jobs."""
         import multiprocessing
         import os
 
@@ -105,6 +106,11 @@ class TestDeterminism:
         _, report = _run(jobs=2, store=store)
         assert report.executed == len(report.cells) == 6
         assert fingerprints(store) == fingerprints(reference)
+        assert report.jobs == 1
+        assert any(
+            "ran serially" in n and "BlockingIOError" in n
+            for n in report.notices
+        )
         for child in multiprocessing.active_children():
             child.join(timeout=10)
         assert not multiprocessing.active_children()

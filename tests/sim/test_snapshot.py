@@ -103,21 +103,6 @@ def test_state_digest_tracks_snapshot_state():
     assert snapshot.state_digest(e1) != snapshot.state_digest(e2)
 
 
-def test_checkpoint_digest_sensitivity():
-    base = snapshot.checkpoint_digest("TCP-PRESS", (1, 2), 7)
-    assert base == snapshot.checkpoint_digest("TCP-PRESS", (1, 2), 7)
-    assert base != snapshot.checkpoint_digest("VIA-PRESS", (1, 2), 7)
-    assert base != snapshot.checkpoint_digest("TCP-PRESS", (1, 3), 7)
-    assert base != snapshot.checkpoint_digest("TCP-PRESS", (1, 2), 8)
-
-
-def test_blob_summary_counts_ops():
-    blob = snapshot.capture({"a": 1, "b": [1, 2, 3]})
-    info = snapshot.blob_summary(blob)
-    assert info["bytes"] == len(blob)
-    assert info["pickle_ops"] > 0
-
-
 def test_rng_registry_round_trips_through_pickle():
     reg = RngRegistry(42)
     reg.stream("clients").random()
